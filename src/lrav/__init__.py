@@ -8,7 +8,7 @@ scaling benchmarks; see the `lrav` CLI.
 """
 
 from .crtm import AttestationConfig, Measurement, measure, measurement_equals
-from .device import DeviceState, ExecutionContext, device_reset, mem_access
+from .device import DeviceState, device_reset, mem_access
 from .protocol import AbortReason, Phase, Role, SessionState
 from .provisioning import (
     DeviceProfile,
@@ -31,7 +31,6 @@ __all__ = [
     "AttestationConfig",
     "DeviceProfile",
     "DeviceState",
-    "ExecutionContext",
     "Measurement",
     "Phase",
     "Quote",

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from . import pmp, transport
-from .crtm import AttestationConfig
 from .device import DeviceState, mem_access
 from .errors import AccessFault, LockedEntry, ProtocolAbort
 from .protocol import (
@@ -36,15 +35,7 @@ from .protocol import (
     process_m3,
     respond_m1,
 )
-from .provisioning import (
-    FLASH_BASE,
-    DeviceProfile,
-    TrustStore,
-    TrustedPeer,
-    build_device,
-    compute_expected,
-    gen_identity,
-)
+from .provisioning import FLASH_BASE, provision_pair
 from .runner import SessionResult, run_initiator, run_responder
 
 ATTACK_TIMEOUT = 0.3  # short: non-response scenarios resolve by timing out
@@ -87,32 +78,11 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> Verdict:
 # --- honest-world scaffolding -------------------------------------------------
 
 _ATTESTED_BYTES = 8 * 1024
-_BLOCK = 1024
 
 
 def _honest_pair(rng: random.Random) -> tuple[DeviceState, DeviceState]:
     """Two mutually provisioned devices with random (seeded) firmware."""
-    id_a, id_b = gen_identity(b"A" * 32), gen_identity(b"B" * 32)
-    attest = AttestationConfig(FLASH_BASE, FLASH_BASE + _ATTESTED_BYTES, _BLOCK)
-    fw_a, fw_b = rng.randbytes(_ATTESTED_BYTES), rng.randbytes(_ATTESTED_BYTES)
-
-    from .memory import MemoryImage, Region, RegionKind
-
-    def expected(fw):
-        image = MemoryImage([Region(FLASH_BASE, RegionKind.FLASH, bytearray(fw))])
-        return compute_expected(image, attest)
-
-    dev_a = build_device(
-        DeviceProfile("alpha", id_a.rom_bytes()[:32], attest),
-        TrustStore({"beta": TrustedPeer(id_b.public, (expected(fw_b),))}),
-        fw_a,
-    )
-    dev_b = build_device(
-        DeviceProfile("beta", id_b.rom_bytes()[:32], attest),
-        TrustStore({"alpha": TrustedPeer(id_a.public, (expected(fw_a),))}),
-        fw_b,
-    )
-    return dev_a, dev_b
+    return provision_pair(rng.randbytes(_ATTESTED_BYTES), rng.randbytes(_ATTESTED_BYTES))
 
 
 def _run_session(dev_a, dev_b, *, a_hooks=(), b_hooks=(), timeout=ATTACK_TIMEOUT):
@@ -342,34 +312,22 @@ def _scn_q_swap(rng):
 def _scn_nonce_reuse_audit(rng):
     """Honest-rule audit: nonces and DH points are never reused by a device."""
     dev_a, dev_b = _honest_pair(rng)
-    seen: set[bytes] = set()
-    count = 0
+    tapped: list[bytes] = []
+
+    def tap(data: bytes):
+        tapped.append(data)
+        return (data,)
+
     for _ in range(6):
-        ep_a, ep_b = transport.channel_pair()
-        tapped: list[bytes] = []
-
-        def tap(data: bytes):
-            tapped.append(data)
-            return (data,)
-
-        ep_a.add_send_hook(tap)
-        ep_b.add_send_hook(tap)
-        res_a, res_b = {}, {}
-        worker = threading.Thread(
-            target=lambda: res_b.update(r=run_responder(dev_b, ep_b, "alpha", timeout=ATTACK_TIMEOUT))
-        )
-        worker.start()
-        res_a["r"] = run_initiator(dev_a, ep_a, "beta", timeout=ATTACK_TIMEOUT)
-        worker.join()
-        if not (res_a["r"].established and res_b["r"].established):
+        res_a, res_b = _run_session(dev_a, dev_b, a_hooks=[tap], b_hooks=[tap])
+        if not (res_a.established and res_b.established):
             return Verdict(VerdictKind.AUDIT_FAIL)
-        for data in tapped:
-            frame, _ = transport.decode_frame(data)
-            if frame.msg_type in (transport.MSG_M1, transport.MSG_M2):
-                seen.add(frame.payload[:32])   # nonce
-                seen.add(frame.payload[32:64])  # DH point
-                count += 2
-    return Verdict(VerdictKind.AUDIT_OK) if len(seen) == count else Verdict(VerdictKind.AUDIT_FAIL)
+    hellos = [
+        frame.payload for frame, _ in map(transport.decode_frame, tapped)
+        if frame.msg_type in (transport.MSG_M1, transport.MSG_M2)
+    ]
+    seen = {p[:32] for p in hellos} | {p[32:64] for p in hellos}  # nonces, DH points
+    return Verdict(VerdictKind.AUDIT_OK) if len(seen) == 2 * len(hellos) else Verdict(VerdictKind.AUDIT_FAIL)
 
 
 def catalog() -> list[Scenario]:

@@ -17,17 +17,8 @@ from dataclasses import dataclass
 
 from . import transport
 from .crtm import AttestationConfig, WorkCounter, measure
-from .device import DeviceState
 from .memory import MemoryImage, Region, RegionKind
-from .provisioning import (
-    FLASH_BASE,
-    DeviceProfile,
-    TrustStore,
-    TrustedPeer,
-    build_device,
-    compute_expected,
-    gen_identity,
-)
+from .provisioning import FLASH_BASE, provision_pair
 from .runner import run_initiator, run_responder
 
 KIB = 1024
@@ -93,36 +84,12 @@ def crtm_bench(
     return [samples[c] for c in combos]
 
 
-def _bench_pair(size: int) -> tuple[DeviceState, DeviceState]:
-    attest = AttestationConfig(FLASH_BASE, FLASH_BASE + size, 1 * KIB)
-    id_a, id_b = gen_identity(b"bench-a" * 5), gen_identity(b"bench-b" * 5)
-    fw_a, fw_b = os.urandom(size), os.urandom(size)
-
-    def expected(fw):
-        return compute_expected(_image_of(fw), attest)
-
-    def _image_of(fw):
-        return MemoryImage([Region(FLASH_BASE, RegionKind.FLASH, bytearray(fw))])
-
-    dev_a = build_device(
-        DeviceProfile("bench-a", id_a.rom_bytes()[:32], attest, firmware=None),
-        TrustStore({"bench-b": TrustedPeer(id_b.public, (expected(fw_b),))}),
-        fw_a,
-    )
-    dev_b = build_device(
-        DeviceProfile("bench-b", id_b.rom_bytes()[:32], attest, firmware=None),
-        TrustStore({"bench-a": TrustedPeer(id_a.public, (expected(fw_a),))}),
-        fw_b,
-    )
-    return dev_a, dev_b
-
-
 def protocol_bench(
     sizes: list[int] | None = None, iters: int = DEFAULT_ITERS
 ) -> list[ProtocolSample]:
     """Full handshake wall time over the in-memory channel, per attested size."""
     sizes = sizes or PROTOCOL_SIZES
-    pairs = {size: _bench_pair(size) for size in sizes}
+    pairs = {size: provision_pair(os.urandom(size), os.urandom(size)) for size in sizes}
     samples = {size: ProtocolSample(size, []) for size in sizes}
     for _ in range(iters):
         for size in sizes:
@@ -130,11 +97,11 @@ def protocol_bench(
             ep_a, ep_b = transport.channel_pair()
             outcome = {}
             worker = threading.Thread(
-                target=lambda: outcome.update(b=run_responder(dev_b, ep_b, "bench-a"))
+                target=lambda: outcome.update(b=run_responder(dev_b, ep_b, "alpha"))
             )
             start = time.perf_counter()
             worker.start()
-            outcome["a"] = run_initiator(dev_a, ep_a, "bench-b")
+            outcome["a"] = run_initiator(dev_a, ep_a, "beta")
             worker.join()
             elapsed = time.perf_counter() - start
             if not (outcome["a"].established and outcome["b"].established):

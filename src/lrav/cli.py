@@ -40,8 +40,18 @@ EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
 
-def _eprint(*parts) -> None:
-    print(*parts, file=sys.stderr, flush=True)
+_OUTPUT_LOCK = threading.Lock()
+
+
+def _emit(stream, line: str) -> None:
+    """Write a whole line at once, so concurrent serve threads never interleave."""
+    with _OUTPUT_LOCK:
+        stream.write(line + "\n")
+        stream.flush()
+
+
+def _eprint(line: str) -> None:
+    _emit(sys.stderr, line)
 
 
 def _parse_addr(value: str) -> tuple[str, int]:
@@ -79,10 +89,10 @@ def _load_device(args) -> DeviceState:
 
 def _report(result: SessionResult, device_id: str) -> int:
     if result.established:
-        print(
+        _emit(
+            sys.stdout,
             f"established device={device_id} peer={result.state.peer_id} "
             f"key-fp={key_fingerprint(result.session_key)}",
-            flush=True,
         )
         return EXIT_OK
     if result.timed_out:
@@ -241,7 +251,7 @@ def _add_common(sub: argparse.ArgumentParser, *, profile=False, trust=False, add
     if addr:
         sub.add_argument("--addr", required=True, help="HOST:PORT")
     sub.add_argument("--timeout", type=float, default=transport.DEFAULT_TIMEOUT,
-                     help="receive timeout in seconds (default %(default)s)")
+                     help="per-frame receive deadline in seconds (default %(default)s)")
 
 
 def _add_range(sub: argparse.ArgumentParser):

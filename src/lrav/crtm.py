@@ -131,17 +131,6 @@ def _read_attested(image: MemoryImage, config: AttestationConfig):
     return b"".join(chunks)
 
 
-def validate_range(image: MemoryImage, config: AttestationConfig) -> None:
-    """Raise InvalidRange unless [start, end) is fully covered by mapped memory."""
-    addr = config.start_addr
-    while addr < config.end_addr:
-        try:
-            region = image.region_at(addr)
-        except OutOfRange as exc:
-            raise InvalidRange(str(exc)) from exc
-        addr = min(config.end_addr, region.end)
-
-
 def measure(
     image: MemoryImage,
     config: AttestationConfig,

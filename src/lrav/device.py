@@ -2,12 +2,11 @@
 
 Trusted ROM routines are host-level functions that touch memory directly;
 everything an adversary can do goes through mem_access / pmp.configure, where
-the PMP bank arbitrates. Neither execution context leaves machine mode.
+the PMP bank arbitrates. Both run in machine mode.
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
@@ -20,11 +19,6 @@ if TYPE_CHECKING:  # import cycle: quote/provisioning build on DeviceState
     from .crtm import AttestationConfig
     from .provisioning import TrustStore
     from .quote import QuoteSigningKey
-
-
-class ExecutionContext(enum.Enum):
-    ROM_TRUSTED = "rom"
-    UNTRUSTED_M = "untrusted"
 
 
 # QSK key material occupies one NAPOT-alignable 64-byte ROM window:
@@ -69,9 +63,8 @@ def mem_access(
     *,
     length: int | None = None,
     data: bytes | None = None,
-    ctx: ExecutionContext = ExecutionContext.UNTRUSTED_M,
 ) -> bytes | None:
-    """Untrusted-path memory access, gated byte-by-byte by the PMP bank.
+    """Untrusted-path memory access, gated by one PMP check over the range.
 
     Reads return the stored bytes; writes return None. ROM regions reject
     writes regardless of PMP state. Raises AccessFault at the first denied
@@ -85,9 +78,11 @@ def mem_access(
         raise ValueError("access length must be positive")
 
     region = dev.memory.region_for(addr, length)
-    for a in range(addr, addr + length):
-        if not pmp.check(dev.bank, access, a, ctx):
-            raise AccessFault(a)
+    if not pmp.check(dev.bank, access, addr, length):
+        raise AccessFault(next(
+            start for start, config in pmp.pieces(dev.bank, addr, length)
+            if config is not None and not config.allows(access)
+        ))
     if access is pmp.Access.WRITE:
         if region.kind is RegionKind.ROM:
             raise AccessFault(addr, f"rom region is immutable ({addr:#010x})")

@@ -148,22 +148,34 @@ def match_range(bank: PmpBank, index: int) -> tuple[int, int] | None:
     return (base, base + size - 1)
 
 
-def check(bank: PmpBank, access: Access, addr: int, ctx=None) -> bool:
-    """True if the access is allowed at this address.
+def pieces(bank: PmpBank, addr: int, length: int):
+    """Split [addr, addr+length) where any entry's range begins or ends.
 
-    Lowest-index matching entry decides. Unlocked entries do not constrain
-    machine mode (the only privilege level modelled, for either execution
-    context); locked entries bind all modes via their R/W/X bits. No match
-    means the M-mode default: allow.
+    Yields (piece_start, config) in address order. One entry decides every
+    byte of a piece: the lowest-index matching one. config is that entry's
+    config when it is locked, or None where machine mode is unconstrained
+    (no match, or the deciding entry is unlocked). The bank is decoded once.
     """
+    end = addr + length
+    ranges = []
     for index in range(PMP_ENTRIES):
         rng = match_range(bank, index)
-        if rng is not None and rng[0] <= addr <= rng[1]:
-            entry = bank.entries[index]
-            if not entry.config.lock:
-                return True
-            return entry.config.allows(access)
-    return True
+        if rng is not None:
+            ranges.append((rng[0], rng[1] + 1, bank.entries[index].config))
+    cuts = sorted({b for lo, hi, _ in ranges for b in (lo, hi) if addr < b < end})
+    for start in [addr, *cuts]:
+        config = next((c for lo, hi, c in ranges if lo <= start < hi), None)
+        yield start, config if config is not None and config.lock else None
+
+
+def check(bank: PmpBank, access: Access, addr: int, length: int = 1) -> bool:
+    """True if the access is allowed at every byte of [addr, addr+length).
+
+    Lowest-index matching entry decides. Unlocked entries do not constrain
+    machine mode (the only privilege level modelled); locked entries bind it
+    via their R/W/X bits. No match means the M-mode default: allow.
+    """
+    return all(c is None or c.allows(access) for _, c in pieces(bank, addr, length))
 
 
 def napot_addr_reg(base: int, size: int) -> int:

@@ -321,7 +321,7 @@ def build_device(
     identity = QuoteSigningKey(profile.qsk_seed)
     image.load_rom(layout.qsk_base, identity.rom_bytes())
 
-    crtm.validate_range(image, profile.attest)
+    crtm._read_attested(image, profile.attest)  # InvalidRange unless fully mapped
     dev = DeviceState(
         device_id=profile.device_id,
         memory=image,
@@ -333,3 +333,26 @@ def build_device(
         sram_base=layout.sram_base,
     )
     return device_reset(dev)
+
+
+def provision_pair(
+    fw_a: bytes, fw_b: bytes, block: int = 1024
+) -> tuple[DeviceState, DeviceState]:
+    """Devices "alpha" and "beta" with fixed identities, each trusting the other.
+
+    Each attests its own firmware image, mapped at the flash base. Shared by
+    the benchmarks, the adversary catalog and the tests.
+    """
+    def attest(fw: bytes) -> crtm.AttestationConfig:
+        return crtm.AttestationConfig(FLASH_BASE, FLASH_BASE + len(fw), block)
+
+    def record(key: QuoteSigningKey, fw: bytes) -> TrustedPeer:
+        flash = MemoryImage([Region(FLASH_BASE, RegionKind.FLASH, bytearray(fw))])
+        return TrustedPeer(key.public, (compute_expected(flash, attest(fw)),))
+
+    id_a, id_b = gen_identity(b"A" * 32), gen_identity(b"B" * 32)
+    dev_a = build_device(DeviceProfile("alpha", id_a.rom_bytes()[:32], attest(fw_a)),
+                         TrustStore({"beta": record(id_b, fw_b)}), fw_a)
+    dev_b = build_device(DeviceProfile("beta", id_b.rom_bytes()[:32], attest(fw_b)),
+                         TrustStore({"alpha": record(id_a, fw_a)}), fw_b)
+    return dev_a, dev_b

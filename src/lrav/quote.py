@@ -19,7 +19,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from . import pmp
 from .crtm import MEASUREMENT_BYTES, Measurement, measurement_equals
-from .device import QSK_REGION_SIZE, DeviceState, ExecutionContext
+from .device import QSK_REGION_SIZE, DeviceState
 from .errors import GateViolation, MalformedMessage
 
 SIGNATURE_BYTES = 64
@@ -78,15 +78,10 @@ class Quote:
 
 def _gate_is_intact(dev: DeviceState) -> bool:
     """The key window must be execute-only for untrusted machine mode."""
-    ctx = ExecutionContext.UNTRUSTED_M
-    for addr in range(dev.qsk_base, dev.qsk_base + QSK_REGION_SIZE):
-        if not pmp.check(dev.bank, pmp.Access.EXECUTE, addr, ctx):
-            return False
-        if pmp.check(dev.bank, pmp.Access.READ, addr, ctx):
-            return False
-        if pmp.check(dev.bank, pmp.Access.WRITE, addr, ctx):
-            return False
-    return True
+    return all(
+        config is not None and config.execute and not config.read and not config.write
+        for _, config in pmp.pieces(dev.bank, dev.qsk_base, QSK_REGION_SIZE)
+    )
 
 
 def _wipe(buf: bytearray) -> None:

@@ -94,6 +94,35 @@ def _local_abort(ep, st: SessionState | None, reason: AbortReason, detail: str) 
     return SessionResult(False, st, reason=reason, error=detail)
 
 
+def _protocol_abort(ep, st: SessionState | None, exc: ProtocolAbort) -> SessionResult:
+    _send_error(ep, exc.reason)
+    return SessionResult(False, st, reason=exc.reason, error=str(exc))
+
+
+def _recv_message(ep, st: SessionState | None, msg_type: int, wire, timeout: float):
+    """Receive and parse the next protocol message.
+
+    Returns (message, None), or (None, result) when the session ends here:
+    timeout, closed channel, undecodable frame, peer error frame, or an
+    unexpected or malformed message.
+    """
+    try:
+        frame = ep.recv_frame(timeout)
+    except TransportTimeout:
+        return None, SessionResult(False, st, timed_out=True)
+    except (ChannelClosed, FrameError) as exc:
+        return None, SessionResult(False, st, error=str(exc))
+    if frame.msg_type == transport.MSG_ERROR:
+        return None, _peer_error_result(st, frame.payload)
+    if frame.msg_type != msg_type:
+        detail = f"unexpected frame type {frame.msg_type:#04x}"
+        return None, _local_abort(ep, st, AbortReason.MALFORMED, detail)
+    try:
+        return wire.unpack(frame.payload), None
+    except MalformedMessage as exc:
+        return None, _local_abort(ep, st, AbortReason.MALFORMED, str(exc))
+
+
 def run_initiator(
     dev: DeviceState,
     ep,
@@ -103,25 +132,13 @@ def run_initiator(
     """Run the A role to completion over an open endpoint."""
     st, m1 = initiate(dev, peer_id)  # UnknownPeer is a caller error; let it raise
     ep.send_frame(transport.MSG_M1, m1.pack())
-    try:
-        frame = ep.recv_frame(timeout)
-    except TransportTimeout:
-        return SessionResult(False, st, timed_out=True)
-    except (ChannelClosed, FrameError) as exc:
-        return SessionResult(False, st, error=str(exc))
-    if frame.msg_type == transport.MSG_ERROR:
-        return _peer_error_result(st, frame.payload)
-    if frame.msg_type != transport.MSG_M2:
-        return _local_abort(ep, st, AbortReason.MALFORMED, f"unexpected frame type {frame.msg_type:#04x}")
-    try:
-        m2 = WireM2.unpack(frame.payload)
-    except MalformedMessage as exc:
-        return _local_abort(ep, st, AbortReason.MALFORMED, str(exc))
+    m2, ended = _recv_message(ep, st, transport.MSG_M2, WireM2, timeout)
+    if ended is not None:
+        return ended
     try:
         st, m3 = process_m2(dev, st, m2)
     except ProtocolAbort as exc:
-        _send_error(ep, exc.reason)
-        return SessionResult(False, st, reason=exc.reason, error=str(exc))
+        return _protocol_abort(ep, st, exc)
     ep.send_frame(transport.MSG_M3, m3.pack())
     return SessionResult(True, st)
 
@@ -133,42 +150,21 @@ def run_responder(
     timeout: float = transport.DEFAULT_TIMEOUT,
 ) -> SessionResult:
     """Run the B role for one session over an open endpoint."""
-    st: SessionState | None = None
-    try:
-        frame = ep.recv_frame(timeout)
-    except TransportTimeout:
-        return SessionResult(False, None, timed_out=True)
-    except (ChannelClosed, FrameError) as exc:
-        return SessionResult(False, None, error=str(exc))
-    if frame.msg_type == transport.MSG_ERROR:
-        return _peer_error_result(None, frame.payload)
-    if frame.msg_type != transport.MSG_M1:
-        return _local_abort(ep, None, AbortReason.MALFORMED, f"unexpected frame type {frame.msg_type:#04x}")
-    try:
-        m1 = WireM1.unpack(frame.payload)
-    except MalformedMessage as exc:
-        return _local_abort(ep, None, AbortReason.MALFORMED, str(exc))
+    m1, ended = _recv_message(ep, None, transport.MSG_M1, WireM1, timeout)
+    if ended is not None:
+        return ended
     try:
         st, m2 = respond_m1(dev, m1, peer_id)
     except ProtocolAbort as exc:
-        _send_error(ep, exc.reason)
-        return SessionResult(False, None, reason=exc.reason, error=str(exc))
+        return _protocol_abort(ep, None, exc)
     except UnknownPeer as exc:
         return _local_abort(ep, None, AbortReason.MALFORMED, str(exc))
     ep.send_frame(transport.MSG_M2, m2.pack())
+    m3, ended = _recv_message(ep, st, transport.MSG_M3, WireM3, timeout)
+    if ended is not None:
+        return ended
     try:
-        frame = ep.recv_frame(timeout)
-    except TransportTimeout:
-        return SessionResult(False, st, timed_out=True)
-    except (ChannelClosed, FrameError) as exc:
-        return SessionResult(False, st, error=str(exc))
-    if frame.msg_type == transport.MSG_ERROR:
-        return _peer_error_result(st, frame.payload)
-    if frame.msg_type != transport.MSG_M3:
-        return _local_abort(ep, st, AbortReason.MALFORMED, f"unexpected frame type {frame.msg_type:#04x}")
-    try:
-        st = process_m3(dev, st, WireM3.unpack(frame.payload))
+        st = process_m3(dev, st, m3)
     except ProtocolAbort as exc:
-        _send_error(ep, exc.reason)
-        return SessionResult(False, st, reason=exc.reason, error=str(exc))
+        return _protocol_abort(ep, st, exc)
     return SessionResult(True, st)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import queue
 import socket
 import struct
+import time
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import BadMagic, BadVersion, ChannelClosed, Oversize, TransportTimeout, Truncated
@@ -85,15 +86,26 @@ class _StreamEndpoint:
     def __init__(self):
         self._rx = b""
 
-    def _recv_chunk(self, timeout: float) -> bytes:
+    def _recv_chunk(self, timeout: float) -> bytes | None:
+        """Next chunk of bytes, or None if none arrives within `timeout` seconds."""
         raise NotImplementedError
 
     def recv_frame(self, timeout: float = DEFAULT_TIMEOUT) -> Frame:
+        """Next frame; TransportTimeout unless all of it arrives within `timeout`.
+
+        The deadline covers the whole frame, so a peer that drips bytes
+        cannot hold the receiver past it.
+        """
+        deadline = time.monotonic() + timeout
         while True:
             try:
                 frame, rest = decode_frame(self._rx)
             except Truncated:
-                self._rx += self._recv_chunk(timeout)
+                remaining = deadline - time.monotonic()
+                chunk = self._recv_chunk(remaining) if remaining > 0 else None
+                if chunk is None:
+                    raise TransportTimeout(f"no frame within {timeout:.1f}s") from None
+                self._rx += chunk
                 continue
             self._rx = rest
             return frame
@@ -122,13 +134,13 @@ class MemoryEndpoint(_StreamEndpoint):
         for data in frames:
             self._outbox.put(data)
 
-    def _recv_chunk(self, timeout: float) -> bytes:
+    def _recv_chunk(self, timeout: float) -> bytes | None:
         if self._closed or self._peer_closed:
             raise ChannelClosed("endpoint is closed")
         try:
             chunk = self._inbox.get(timeout=timeout)
         except queue.Empty:
-            raise TransportTimeout(f"no frame within {timeout:.1f}s") from None
+            return None
         if chunk is None:
             self._peer_closed = True
             raise ChannelClosed("peer closed the channel")
@@ -158,12 +170,12 @@ class TcpEndpoint(_StreamEndpoint):
         except OSError as exc:
             raise ChannelClosed(str(exc)) from exc
 
-    def _recv_chunk(self, timeout: float) -> bytes:
+    def _recv_chunk(self, timeout: float) -> bytes | None:
         self._sock.settimeout(timeout)
         try:
             chunk = self._sock.recv(4096)
         except socket.timeout:
-            raise TransportTimeout(f"no frame within {timeout:.1f}s") from None
+            return None
         except OSError as exc:
             raise ChannelClosed(str(exc)) from exc
         if chunk == b"":

@@ -28,17 +28,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in lines:
             terminalreporter.write_line(line)
 
-from lrav.crtm import AttestationConfig
 from lrav.memory import MemoryImage, Region, RegionKind
-from lrav.provisioning import (
-    FLASH_BASE,
-    DeviceProfile,
-    TrustStore,
-    TrustedPeer,
-    build_device,
-    compute_expected,
-    gen_identity,
-)
+from lrav.provisioning import FLASH_BASE, provision_pair
 
 
 def flash_image(firmware: bytes, base: int = FLASH_BASE) -> MemoryImage:
@@ -47,23 +38,9 @@ def flash_image(firmware: bytes, base: int = FLASH_BASE) -> MemoryImage:
 
 def make_pair(rng: random.Random, attested_bytes: int = 8 * 1024, block: int = 1024):
     """Two mutually provisioned devices with seeded random firmware."""
-    attest = AttestationConfig(FLASH_BASE, FLASH_BASE + attested_bytes, block)
-    id_a, id_b = gen_identity(b"A" * 32), gen_identity(b"B" * 32)
     fw_a = rng.randbytes(attested_bytes)
     fw_b = rng.randbytes(attested_bytes)
-    expected_a = compute_expected(flash_image(fw_a), attest)
-    expected_b = compute_expected(flash_image(fw_b), attest)
-    dev_a = build_device(
-        DeviceProfile("alpha", id_a.rom_bytes()[:32], attest),
-        TrustStore({"beta": TrustedPeer(id_b.public, (expected_b,))}),
-        fw_a,
-    )
-    dev_b = build_device(
-        DeviceProfile("beta", id_b.rom_bytes()[:32], attest),
-        TrustStore({"alpha": TrustedPeer(id_a.public, (expected_a,))}),
-        fw_b,
-    )
-    return dev_a, dev_b
+    return provision_pair(fw_a, fw_b, block)
 
 
 @pytest.fixture

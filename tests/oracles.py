@@ -7,6 +7,8 @@ implementation cannot hide in its own test.
 
 import hashlib
 
+from lrav.pmp import PMP_ENTRIES, match_range
+
 
 def recursive_chain_digest(data: bytes, block: int) -> bytes:
     """Direct transcription of the chained-hash recursion.
@@ -48,3 +50,21 @@ def tor_range_oracle(prev_addr_reg: int, addr_reg: int):
     if top <= lo:
         return None
     return lo, top - 1
+
+
+def per_byte_check(bank, access, addr: int) -> bool:
+    """The PMP check at one address, entry by entry.
+
+    Lowest-index matching entry decides. Unlocked entries do not constrain
+    machine mode; locked entries bind it via their R/W/X bits. No match
+    means the M-mode default: allow. Range decoding reuses match_range,
+    which the decoders above pin; the priority rule is checked byte by byte.
+    """
+    for index in range(PMP_ENTRIES):
+        rng = match_range(bank, index)
+        if rng is not None and rng[0] <= addr <= rng[1]:
+            entry = bank.entries[index]
+            if not entry.config.lock:
+                return True
+            return entry.config.allows(access)
+    return True

@@ -1,13 +1,11 @@
 import pytest
 
 from lrav import pmp
-from lrav.device import QSK_REGION_SIZE, ExecutionContext, device_reset, mem_access
+from lrav.device import QSK_REGION_SIZE, device_reset, mem_access
 from lrav.errors import AccessFault, LockedEntry, OutOfRange
 from lrav.memory import MemoryImage, Region, RegionKind
 from lrav.pmp import Access
 from lrav.provisioning import QSK_BASE, ROM_BASE, SRAM_BASE
-
-UNTRUSTED = ExecutionContext.UNTRUSTED_M
 
 
 class TestMemoryImage:
@@ -46,24 +44,24 @@ class TestMemoryImage:
 class TestMemAccess:
     def test_sram_write_readback(self, device_pair):
         dev, _ = device_pair
-        mem_access(dev, Access.WRITE, SRAM_BASE + 0x10, data=b"\xaa\xbb", ctx=UNTRUSTED)
-        assert mem_access(dev, Access.READ, SRAM_BASE + 0x10, length=2, ctx=UNTRUSTED) == b"\xaa\xbb"
+        mem_access(dev, Access.WRITE, SRAM_BASE + 0x10, data=b"\xaa\xbb")
+        assert mem_access(dev, Access.READ, SRAM_BASE + 0x10, length=2) == b"\xaa\xbb"
 
     def test_qsk_read_denied_after_boot(self, device_pair):
         dev, _ = device_pair
         with pytest.raises(AccessFault) as exc:
-            mem_access(dev, Access.READ, dev.qsk_base, length=1, ctx=UNTRUSTED)
+            mem_access(dev, Access.READ, dev.qsk_base, length=1)
         assert exc.value.addr == dev.qsk_base
 
     def test_rom_write_denied(self, device_pair):
         dev, _ = device_pair
         with pytest.raises(AccessFault):
-            mem_access(dev, Access.WRITE, ROM_BASE, data=b"evil", ctx=UNTRUSTED)
+            mem_access(dev, Access.WRITE, ROM_BASE, data=b"evil")
 
     def test_unmapped_is_out_of_range(self, device_pair):
         dev, _ = device_pair
         with pytest.raises(OutOfRange):
-            mem_access(dev, Access.READ, 0x0, length=1, ctx=UNTRUSTED)
+            mem_access(dev, Access.READ, 0x0, length=1)
 
 
 class TestReset:
@@ -81,22 +79,22 @@ class TestReset:
         dev, _ = device_pair
         for _ in range(3):
             device_reset(dev)
-            assert not pmp.check(dev.bank, Access.READ, dev.qsk_base, UNTRUSTED)
-            assert pmp.check(dev.bank, Access.EXECUTE, dev.qsk_base, UNTRUSTED)
+            assert not pmp.check(dev.bank, Access.READ, dev.qsk_base)
+            assert pmp.check(dev.bank, Access.EXECUTE, dev.qsk_base)
 
     def test_sram_zeroed_flash_preserved(self, device_pair):
         dev, _ = device_pair
-        mem_access(dev, Access.WRITE, SRAM_BASE, data=b"\xff" * 8, ctx=UNTRUSTED)
+        mem_access(dev, Access.WRITE, SRAM_BASE, data=b"\xff" * 8)
         flash_before = dev.memory.read(dev.attest_config.start_addr, 64)
         device_reset(dev)
-        assert mem_access(dev, Access.READ, SRAM_BASE, length=8, ctx=UNTRUSTED) == bytes(8)
+        assert mem_access(dev, Access.READ, SRAM_BASE, length=8) == bytes(8)
         assert dev.memory.read(dev.attest_config.start_addr, 64) == flash_before
 
     def test_skipped_rom_boot_leaves_window_open(self, device_pair):
         dev, _ = device_pair
         device_reset(dev, run_rom_boot=False)
         assert dev.boot_complete
-        assert pmp.check(dev.bank, Access.READ, dev.qsk_base, UNTRUSTED)
+        assert pmp.check(dev.bank, Access.READ, dev.qsk_base)
 
 
 class TestTrustAnchorInvariants:
@@ -105,9 +103,9 @@ class TestTrustAnchorInvariants:
         dev, _ = device_pair
         for addr in range(dev.qsk_base, dev.qsk_base + QSK_REGION_SIZE):
             with pytest.raises(AccessFault):
-                mem_access(dev, Access.READ, addr, length=1, ctx=UNTRUSTED)
+                mem_access(dev, Access.READ, addr, length=1)
             with pytest.raises(AccessFault):
-                mem_access(dev, Access.WRITE, addr, data=b"\x00", ctx=UNTRUSTED)
+                mem_access(dev, Access.WRITE, addr, data=b"\x00")
 
     def test_trust_store_rom_is_immutable(self, device_pair):
         # G1: the expected-measurement store sits in ROM and survives attacks
@@ -116,7 +114,7 @@ class TestTrustAnchorInvariants:
         assert stored.startswith(b"peer ")
         for offset in (0, 13, 63):
             with pytest.raises(AccessFault):
-                mem_access(dev, Access.WRITE, ROM_BASE + offset, data=b"\x00", ctx=UNTRUSTED)
+                mem_access(dev, Access.WRITE, ROM_BASE + offset, data=b"\x00")
         assert dev.memory.read(ROM_BASE, 64) == stored
 
     def test_qsk_window_inside_rom(self, device_pair):

@@ -1,12 +1,16 @@
+import re
 import socket
+import sys
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from lrav import cli, transport
 from lrav.errors import ProtocolStateError
 from lrav.protocol import AbortReason, WireM2, process_m2
-from lrav.runner import key_fingerprint, run_initiator, run_responder
+from lrav.runner import SessionResult, key_fingerprint, run_initiator, run_responder
 
 from conftest import make_pair
 
@@ -229,3 +233,44 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "scenario,expected,observed,status"
         assert len(lines) >= 11
+
+
+def test_concurrent_reports_stay_one_per_line(monkeypatch):
+    # serve --parallel reports from many threads; each report must be one line
+    class YieldingStream:
+        def __init__(self):
+            self.parts = []
+
+        def write(self, text):
+            self.parts.append(text)
+            time.sleep(0.0005)  # hand the GIL to another reporter mid-line
+            return len(text)
+
+        def flush(self):
+            pass
+
+    out, err = YieldingStream(), YieldingStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    state = SimpleNamespace(peer_id="alpha", session_key=lambda: bytes(32))
+    results = [SessionResult(True, state), SessionResult(False, timed_out=True)]
+    barrier = threading.Barrier(8)
+
+    def reporter(n):
+        barrier.wait()
+        for _ in range(10):
+            cli._report(results[n % 2], f"dev{n}")
+
+    threads = [threading.Thread(target=reporter, args=(n,)) for n in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    fp = key_fingerprint(bytes(32))
+    out_lines = "".join(out.parts).splitlines()
+    err_lines = "".join(err.parts).splitlines()
+    assert len(out_lines) == len(err_lines) == 40
+    assert all(re.fullmatch(rf"established device=dev[0246] peer=alpha key-fp={fp}", line)
+               for line in out_lines)
+    assert set(err_lines) == {"transport timeout (timeout)"}

@@ -1,3 +1,4 @@
+import ctypes
 import random
 import struct
 
@@ -114,3 +115,32 @@ class TestSecretbox:
     def test_deterministic_for_fixed_inputs(self):
         key, nonce = b"\x01" * 32, b"\x02" * 24
         assert seal(key, nonce, b"msg") == seal(key, nonce, b"msg")
+
+
+def _libsodium():
+    try:
+        lib = ctypes.CDLL("libsodium.so.23")
+    except OSError:
+        return None
+    if lib.sodium_init() < 0:
+        return None
+    return lib
+
+
+def test_matches_system_libsodium():
+    # an independent implementation of the same construction, byte for byte
+    lib = _libsodium()
+    if lib is None:
+        pytest.skip("libsodium.so.23 not available")
+    rng = random.Random(0x5A17)
+    for size in [*range(301), 4095, 4096, 4097]:
+        key, nonce, msg = rng.randbytes(32), rng.randbytes(24), rng.randbytes(size)
+        theirs = ctypes.create_string_buffer(size + 16)
+        assert lib.crypto_secretbox_easy(theirs, msg, ctypes.c_ulonglong(size), nonce, key) == 0
+        ours = seal(key, nonce, msg)
+        assert ours == theirs.raw, size
+        assert open_box(key, nonce, theirs.raw) == msg
+        opened = ctypes.create_string_buffer(max(size, 1))
+        assert lib.crypto_secretbox_open_easy(
+            opened, ours, ctypes.c_ulonglong(size + 16), nonce, key) == 0
+        assert opened.raw[:size] == msg

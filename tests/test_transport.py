@@ -1,5 +1,7 @@
+import queue
 import random
 import threading
+import time
 
 import pytest
 
@@ -186,3 +188,29 @@ class TestTcp:
         client.close()
         accepted["ep"].close()
         listener.close()
+
+
+def test_recv_deadline_covers_the_whole_frame():
+    # a peer dripping one byte per 0.1 s must not hold a 0.5 s receive open
+    inbox: "queue.Queue[bytes | None]" = queue.Queue()
+    ep = transport.MemoryEndpoint(inbox, queue.Queue())
+    frame = encode_frame(MSG_M1, bytes(65))
+    stop = threading.Event()
+
+    def drip():
+        for i in range(20):  # 2 s of drip, a fraction of the frame
+            if stop.wait(0.1):
+                return
+            inbox.put(frame[i:i + 1])
+
+    dripper = threading.Thread(target=drip)
+    dripper.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(TransportTimeout):
+            ep.recv_frame(timeout=0.5)
+        assert time.monotonic() - start < 0.75
+    finally:
+        stop.set()
+        dripper.join(timeout=5)
+    assert not dripper.is_alive()
