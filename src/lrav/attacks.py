@@ -33,6 +33,7 @@ from .protocol import (
     initiate,
     process_m2,
     process_m3,
+    produce_own_quote,
     respond_m1,
 )
 from .provisioning import FLASH_BASE, provision_pair
@@ -186,7 +187,7 @@ def _adv_splice_m3(dev_a, dev_b, old_inner: bytes) -> Verdict:
     """
     st_a, m1 = initiate(dev_a, "beta")
     st_b, m2 = respond_m1(dev_b, m1, "alpha")
-    st_a, _m3 = process_m2(dev_a, st_a, m2)
+    st_a, _m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
     n_a, n_b = st_a.nonces()
     forged = ae_seal(st_a.k, Direction.M3, n_a, n_b, old_inner)
     try:
@@ -216,7 +217,7 @@ def _adv_swap_point(dev_a, dev_b) -> Verdict:
     )
     forged = WireM2(m2.nonce, attacker_point, ae_seal(k_prime, Direction.M2, n_a, n_b, inner))
     try:
-        process_m2(dev_a, st_a, forged)
+        process_m2(dev_a, st_a, forged, produce_own_quote(dev_a))
     except ProtocolAbort as exc:
         return Verdict(VerdictKind.ABORTED, exc.reason)
     return Verdict(VerdictKind.ESTABLISHED)
@@ -297,7 +298,7 @@ def _scn_m3_splice(rng):
     dev_a, dev_b = _honest_pair(rng)
     st_a, m1 = initiate(dev_a, "beta")
     st_b, m2 = respond_m1(dev_b, m1, "alpha")
-    st_a, m3 = process_m2(dev_a, st_a, m2)
+    st_a, m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
     process_m3(dev_b, st_b, m3)
     n_a, n_b = st_a.nonces()
     old_inner = ae_open(st_a.session_key(), Direction.M3, n_a, n_b, m3.box)

@@ -9,6 +9,13 @@ signatures bind quotes, nonces, and both DH points (note the swapped point
 order between M2 and M3). Every verification failure terminates the session
 with one of the on-wire abort reason codes. Sessions are single-owner; a
 device may run many concurrently.
+
+When each side measures: A produces its quote (`produce_own_quote`) right
+after sending M1, so it measures while B measures, and hands it to
+`process_m2`. A's quote therefore reflects A's memory as of just after M1;
+the M3 transcript signature binds it to both nonces. B measures only after
+X25519 and the point check, so a weak-point M1 costs it no measurement and
+no signature.
 """
 
 from __future__ import annotations
@@ -268,11 +275,12 @@ def _exchange(st: SessionState, peer_point: bytes) -> bytes:
     return shared
 
 
-def _produce_own_quote(dev: DeviceState) -> bytes:
+def produce_own_quote(dev: DeviceState) -> bytes:
     """Measure, sign in the gate, and stage through AA memory (116 bytes)."""
-    measurement = measure(dev.memory, dev.attest_config)
-    own = sign_quote_gated(dev, measurement)
-    return stage_outgoing_quote(dev, own.to_wire())
+    with dev.lock:
+        measurement = measure(dev.memory, dev.attest_config)
+        own = sign_quote_gated(dev, measurement)
+        return stage_outgoing_quote(dev, own.to_wire())
 
 
 def _verify_peer_inner(
@@ -326,7 +334,7 @@ def initiate(dev: DeviceState, peer_id: str) -> tuple[SessionState, WireM1]:
 def respond_m1(
     dev: DeviceState, m1: WireM1, peer_id: str | None = None
 ) -> tuple[SessionState, WireM2]:
-    """B's flight: measure, sign, derive K, and return the sealed quote.
+    """B's flight: derive K, then measure, sign, and return the sealed quote.
 
     M1 carries no identity (the paper leaves peer naming to the channel, e.g.
     IP address), so the caller names the peer; with a single provisioned peer
@@ -345,25 +353,27 @@ def respond_m1(
     st.peer_nonce = m1.nonce
     st.peer_point = m1.point
 
-    with dev.lock:
-        staged = _produce_own_quote(dev)
-        try:
-            shared = _exchange(st, m1.point)
-            st.k = derive_session_key(shared, *st.nonces())
-        except WeakPoint as exc:
-            _abort(st, AbortReason.WEAK_POINT, str(exc))
-        n_a, n_b = st.nonces()
-        digest = transcript_hash(staged, n_a, n_b, st.eph.public, m1.point)
-        sig = sign_transcript_gated(dev, digest)
+    try:
+        shared = _exchange(st, m1.point)
+        st.k = derive_session_key(shared, *st.nonces())
+    except WeakPoint as exc:
+        _abort(st, AbortReason.WEAK_POINT, str(exc))
+    n_a, n_b = st.nonces()
+    staged = produce_own_quote(dev)
+    digest = transcript_hash(staged, n_a, n_b, st.eph.public, m1.point)
+    sig = sign_transcript_gated(dev, digest)
     box = ae_seal(st.k, Direction.M2, n_a, n_b, staged + sig)
     st.phase = Phase.SENT_M2
     return st, WireM2(st.my_nonce, st.eph.public, box)
 
 
 def process_m2(
-    dev: DeviceState, st: SessionState, m2: WireM2
+    dev: DeviceState, st: SessionState, m2: WireM2, staged: bytes
 ) -> tuple[SessionState, WireM3]:
-    """A validates B's flight, then answers with its own sealed quote."""
+    """A validates B's flight, then answers with its staged quote.
+
+    `staged` is A's own quote from `produce_own_quote`, made after M1 was sent.
+    """
     if st.role is not Role.INITIATOR or st.phase is not Phase.SENT_M1:
         raise ProtocolStateError(f"M2 not acceptable in phase {st.phase.value}")
     st.peer_nonce = m2.nonce
@@ -380,10 +390,8 @@ def process_m2(
         _abort(st, AbortReason.BAD_TAG, "M2 box failed authentication")
     _verify_peer_inner(st, dev, inner, m2.point, st.eph.public)
 
-    with dev.lock:
-        staged = _produce_own_quote(dev)
-        digest = transcript_hash(staged, n_a, n_b, st.eph.public, m2.point)
-        sig = sign_transcript_gated(dev, digest)
+    digest = transcript_hash(staged, n_a, n_b, st.eph.public, m2.point)
+    sig = sign_transcript_gated(dev, digest)
     box = ae_seal(st.k, Direction.M3, n_a, n_b, staged + sig)
     st.phase = Phase.ESTABLISHED
     return st, WireM3(box)

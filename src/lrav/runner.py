@@ -32,6 +32,7 @@ from .protocol import (
     initiate,
     process_m2,
     process_m3,
+    produce_own_quote,
     respond_m1,
 )
 
@@ -129,14 +130,18 @@ def run_initiator(
     peer_id: str,
     timeout: float = transport.DEFAULT_TIMEOUT,
 ) -> SessionResult:
-    """Run the A role to completion over an open endpoint."""
+    """Run the A role to completion over an open endpoint.
+
+    A measures right after sending M1, while the responder measures too.
+    """
     st, m1 = initiate(dev, peer_id)  # UnknownPeer is a caller error; let it raise
     ep.send_frame(transport.MSG_M1, m1.pack())
+    staged = produce_own_quote(dev)
     m2, ended = _recv_message(ep, st, transport.MSG_M2, WireM2, timeout)
     if ended is not None:
         return ended
     try:
-        st, m3 = process_m2(dev, st, m2)
+        st, m3 = process_m2(dev, st, m2, staged)
     except ProtocolAbort as exc:
         return _protocol_abort(ep, st, exc)
     ep.send_frame(transport.MSG_M3, m3.pack())
@@ -159,7 +164,10 @@ def run_responder(
         return _protocol_abort(ep, None, exc)
     except UnknownPeer as exc:
         return _local_abort(ep, None, AbortReason.MALFORMED, str(exc))
-    ep.send_frame(transport.MSG_M2, m2.pack())
+    try:
+        ep.send_frame(transport.MSG_M2, m2.pack())
+    except ChannelClosed as exc:  # the peer left after M1: fail this session only
+        return SessionResult(False, st, error=str(exc))
     m3, ended = _recv_message(ep, st, transport.MSG_M3, WireM3, timeout)
     if ended is not None:
         return ended

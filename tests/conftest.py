@@ -1,4 +1,7 @@
 import random
+import re
+import sys
+import time
 
 import pytest
 
@@ -34,6 +37,29 @@ from lrav.provisioning import FLASH_BASE, provision_pair
 
 def flash_image(firmware: bytes, base: int = FLASH_BASE) -> MemoryImage:
     return MemoryImage([Region(base, RegionKind.FLASH, bytearray(firmware))])
+
+
+def wait_for_listener(capsys, deadline_s: float = 3.0) -> int:
+    """Port of an in-process `lrav serve --addr 127.0.0.1:0`.
+
+    Reads serve's `listening on HOST:PORT` line from the captured output and
+    writes back everything it read, so the test's own capture stays whole.
+    """
+    seen_out = seen_err = ""
+    deadline = time.time() + deadline_s
+    try:
+        while time.time() < deadline:
+            captured = capsys.readouterr()
+            seen_out += captured.out
+            seen_err += captured.err
+            match = re.search(r"^listening on \S+:(\d+)$", seen_out, re.MULTILINE)
+            if match:
+                return int(match.group(1))
+            time.sleep(0.01)
+    finally:
+        sys.stdout.write(seen_out)
+        sys.stderr.write(seen_err)
+    raise AssertionError("listener never bound")
 
 
 def make_pair(rng: random.Random, attested_bytes: int = 8 * 1024, block: int = 1024):

@@ -7,7 +7,6 @@ configurations cancels clock-speed drift between them.
 """
 
 import random
-import socket
 import threading
 import time
 
@@ -21,7 +20,7 @@ from lrav.provisioning import FLASH_BASE, load_profile
 from lrav.runner import run_initiator, run_responder
 from lrav.transport import decode_frame, encode_frame
 
-from conftest import flash_image, make_pair
+from conftest import flash_image, make_pair, wait_for_listener
 from oracles import napot_range_oracle, recursive_chain_digest, tor_range_oracle
 
 
@@ -34,12 +33,6 @@ def report(criterion: str, detail: str = ""):
     line = f"[acceptance] {criterion}: PASS{suffix}"
     PASS_LINES.append(line)
     print(line)
-
-
-def free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
 
 
 def provision_cli_pair(tmp_path, rng, capsys, attested_bytes):
@@ -58,35 +51,22 @@ def provision_cli_pair(tmp_path, rng, capsys, attested_bytes):
     return records
 
 
-def wait_for_listener(port: int, deadline_s: float = 3.0):
-    deadline = time.time() + deadline_s
-    while time.time() < deadline:
-        with socket.socket() as probe:
-            try:
-                probe.bind(("127.0.0.1", port))
-            except OSError:
-                return
-        time.sleep(0.02)
-    raise AssertionError("listener never bound")
-
-
 def test_c1_end_to_end_honest_run(tmp_path, rng, capsys):
     """Serve + attest over loopback, 256 KB attested, < 5 s, identical keys."""
     provision_cli_pair(tmp_path, rng, capsys, attested_bytes=256 * 1024)
-    port = free_port()
     codes = {}
 
     def serve():
         codes["serve"] = cli.main([
             "serve", "--profile", str(tmp_path / "beta.json"),
             "--trust", str(tmp_path / "beta.trust"),
-            "--addr", f"127.0.0.1:{port}", "--once", "--timeout", "5.0",
+            "--addr", "127.0.0.1:0", "--once", "--timeout", "5.0",
         ])
 
     worker = threading.Thread(target=serve)
     start = time.perf_counter()
     worker.start()
-    wait_for_listener(port)
+    port = wait_for_listener(capsys)
     codes["attest"] = cli.main([
         "attest", "--profile", str(tmp_path / "alpha.json"),
         "--trust", str(tmp_path / "alpha.trust"),
@@ -206,18 +186,17 @@ def test_c7_secrecy_hygiene(tmp_path, rng, capsys):
     the key file the offline phase produces (the seed has to live somewhere).
     """
     provision_cli_pair(tmp_path, rng, capsys, attested_bytes=8 * 1024)
-    port = free_port()
 
     def serve():
         cli.main([
             "serve", "--profile", str(tmp_path / "beta.json"),
             "--trust", str(tmp_path / "beta.trust"),
-            "--addr", f"127.0.0.1:{port}", "--once", "--timeout", "5.0",
+            "--addr", "127.0.0.1:0", "--once", "--timeout", "5.0",
         ])
 
     worker = threading.Thread(target=serve)
     worker.start()
-    wait_for_listener(port)
+    port = wait_for_listener(capsys)
     cli.main([
         "attest", "--profile", str(tmp_path / "alpha.json"),
         "--trust", str(tmp_path / "alpha.trust"),

@@ -1,5 +1,6 @@
 import pytest
 
+import lrav.protocol
 from lrav.errors import (
     AuthenticationFailed,
     MalformedMessage,
@@ -24,6 +25,7 @@ from lrav.protocol import (
     initiate,
     process_m2,
     process_m3,
+    produce_own_quote,
     respond_m1,
     transcript_hash,
 )
@@ -35,7 +37,7 @@ ZERO_TRANSCRIPT = "ad17cb196f25d881e83209846061c9a70457aa2a6d5a5b2dc92d958673cef
 def honest_run(dev_a, dev_b):
     st_a, m1 = initiate(dev_a, "beta")
     st_b, m2 = respond_m1(dev_b, m1, "alpha")
-    st_a, m3 = process_m2(dev_a, st_a, m2)
+    st_a, m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
     st_b = process_m3(dev_b, st_b, m3)
     return st_a, st_b, (m1, m2, m3)
 
@@ -57,7 +59,7 @@ class TestWireSizes:
         dev_a, dev_b = device_pair
         st_a, m1 = initiate(dev_a, "beta")
         _, m2 = respond_m1(dev_b, m1, "alpha")
-        _, m3 = process_m2(dev_a, st_a, m2)
+        _, m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
         assert len(m3.pack()) == 196
 
 
@@ -80,7 +82,7 @@ class TestHonestRun:
         st_b, m2 = respond_m1(dev_b, m1, "alpha")
         with pytest.raises(ProtocolStateError):
             st_b.session_key()  # B must validate M3 first
-        st_a, m3 = process_m2(dev_a, st_a, m2)
+        st_a, m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
         process_m3(dev_b, st_b, m3)
         assert st_b.session_key()
 
@@ -119,12 +121,22 @@ class TestRespondM1:
         with pytest.raises(MalformedMessage):
             WireM1.unpack(bytes(64))
 
-    def test_zero_point_aborts_weak_point(self, device_pair):
+    def test_zero_point_aborts_weak_point(self, device_pair, monkeypatch):
+        # an unauthenticated 65-byte M1 must not buy a measurement or a signature
+        calls = {"measure": 0, "sign_quote_gated": 0}
+        for name in calls:
+            real = getattr(lrav.protocol, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lrav.protocol, name, counted)
         _, dev_b = device_pair
-        m1 = WireM1(bytes(32), bytes(32))
         with pytest.raises(ProtocolAbort) as exc:
-            respond_m1(dev_b, m1, "alpha")
+            respond_m1(dev_b, WireM1(bytes(32), bytes(32)), "alpha")
         assert exc.value.reason is AbortReason.WEAK_POINT
+        assert calls == {"measure": 0, "sign_quote_gated": 0}
 
     def test_single_provisioned_peer_is_implied(self, device_pair):
         dev_a, dev_b = device_pair
@@ -141,7 +153,7 @@ class TestProcessM2Aborts:
         box = bytearray(m2.box)
         box[100] ^= 0x01
         with pytest.raises(ProtocolAbort) as exc:
-            process_m2(dev_a, st_a, WireM2(m2.nonce, m2.point, bytes(box)))
+            process_m2(dev_a, st_a, WireM2(m2.nonce, m2.point, bytes(box)), produce_own_quote(dev_a))
         assert exc.value.reason is AbortReason.BAD_TAG
         assert st_a.phase is Phase.ABORTED
 
@@ -156,7 +168,7 @@ class TestProcessM2Aborts:
         st_a, m1 = initiate(dev_a, "beta")
         _, m2 = respond_m1(dev_b, m1, "alpha")
         with pytest.raises(ProtocolAbort) as exc:
-            process_m2(dev_a, st_a, m2)
+            process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
         assert exc.value.reason is AbortReason.MEASUREMENT_MISMATCH
 
     def test_replayed_m2_payload_reencrypted_is_bad_signature(self, device_pair):
@@ -167,7 +179,7 @@ class TestProcessM2Aborts:
         dev_a, dev_b = device_pair
         st_a1, m1 = initiate(dev_a, "beta")
         st_b1, m2_old = respond_m1(dev_b, m1, "alpha")
-        st_a1, _ = process_m2(dev_a, st_a1, m2_old)
+        st_a1, _ = process_m2(dev_a, st_a1, m2_old, produce_own_quote(dev_a))
         n_a1, n_b1 = st_a1.nonces()
         inner_old = ae_open(st_a1.session_key(), Direction.M2, n_a1, n_b1, m2_old.box)
 
@@ -176,7 +188,7 @@ class TestProcessM2Aborts:
         n_a2, n_b2 = st_b2.nonces()
         forged_box = ae_seal(st_b2.k, Direction.M2, n_a2, n_b2, inner_old)
         with pytest.raises(ProtocolAbort) as exc:
-            process_m2(dev_a, st_a2, WireM2(m2_2.nonce, m2_2.point, forged_box))
+            process_m2(dev_a, st_a2, WireM2(m2_2.nonce, m2_2.point, forged_box), produce_own_quote(dev_a))
         assert exc.value.reason is AbortReason.BAD_SIGNATURE
 
     def test_replayed_m2_black_box_is_bad_tag(self, device_pair):
@@ -185,7 +197,7 @@ class TestProcessM2Aborts:
         _, m2_old = respond_m1(dev_b, m1, "alpha")
         st_a2, _ = initiate(dev_a, "beta")
         with pytest.raises(ProtocolAbort) as exc:
-            process_m2(dev_a, st_a2, m2_old)
+            process_m2(dev_a, st_a2, m2_old, produce_own_quote(dev_a))
         assert exc.value.reason is AbortReason.BAD_TAG
 
 
@@ -194,7 +206,7 @@ class TestProcessM3Aborts:
         dev_a, dev_b = device_pair
         st_a, m1 = initiate(dev_a, "beta")
         st_b, m2 = respond_m1(dev_b, m1, "alpha")
-        _, m3 = process_m2(dev_a, st_a, m2)
+        _, m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
         with pytest.raises(ProtocolAbort) as exc:
             process_m3(dev_b, st_b, WireM3(m3.box[:100]))
         assert exc.value.reason is AbortReason.BAD_TAG
@@ -207,7 +219,7 @@ class TestProcessM3Aborts:
 
         st_a2, m1 = initiate(dev_a, "beta")
         st_b2, m2 = respond_m1(dev_b, m1, "alpha")
-        st_a2, _ = process_m2(dev_a, st_a2, m2)
+        st_a2, _ = process_m2(dev_a, st_a2, m2, produce_own_quote(dev_a))
         n_a2, n_b2 = st_a2.nonces()
         forged = ae_seal(st_a2.session_key(), Direction.M3, n_a2, n_b2, inner_old)
         with pytest.raises(ProtocolAbort) as exc:
@@ -295,7 +307,7 @@ class TestStateMachineSafety:
             if not m2_ok:
                 before = (st.phase, st.abort_reason)
                 with pytest.raises(ProtocolStateError):
-                    process_m2(dev, st, valid_m2)
+                    process_m2(dev, st, valid_m2, produce_own_quote(dev))
                 assert (st.phase, st.abort_reason) == before, name
             if not m3_ok:
                 before = (st.phase, st.abort_reason)

@@ -1,18 +1,24 @@
+import os
 import re
 import socket
+import struct
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
+import lrav
 from lrav import cli, transport
-from lrav.errors import ProtocolStateError
-from lrav.protocol import AbortReason, WireM2, process_m2
+from lrav.errors import ChannelClosed, ProtocolStateError
+from lrav.protocol import AbortReason, WireM1, WireM2, process_m2, produce_own_quote
 from lrav.runner import SessionResult, key_fingerprint, run_initiator, run_responder
 
-from conftest import make_pair
+from conftest import make_pair, wait_for_listener
 
 
 def run_both(dev_a, dev_b, timeout=0.5, a_hooks=(), b_hooks=()):
@@ -59,7 +65,7 @@ class TestRunner:
         leftover = ep_a.recv_frame(timeout=0.5)  # the duplicate M2 copy
         assert leftover.msg_type == transport.MSG_M2
         with pytest.raises(ProtocolStateError):
-            process_m2(dev_a, res_a.state, WireM2.unpack(leftover.payload))
+            process_m2(dev_a, res_a.state, WireM2.unpack(leftover.payload), produce_own_quote(dev_a))
         assert res_a.state.phase.value == "established"
 
     def test_timeout_on_silent_responder(self, device_pair):
@@ -84,6 +90,83 @@ class TestRunner:
         res_a, _res_b, _ = run_both(dev_a, dev_b, b_hooks=[replace_m2_with_m1])
         assert not res_a.established
         assert res_a.reason is AbortReason.MALFORMED
+
+
+def valid_m1() -> bytes:
+    """A well-formed M1 from no provisioned device: random nonce, real point."""
+    point = X25519PrivateKey.generate().public_key().public_bytes_raw()
+    return WireM1(os.urandom(32), point).pack()
+
+
+class TestMeasurementOrder:
+    @staticmethod
+    def log_measures_of(dev, events, monkeypatch):
+        real = lrav.protocol.measure
+
+        def measure(memory, config):
+            if memory is dev.memory:
+                events.append("measure")
+            return real(memory, config)
+
+        monkeypatch.setattr(lrav.protocol, "measure", measure)
+
+    def test_initiator_measures_after_m1_and_before_process_m2(self, device_pair, monkeypatch):
+        dev_a, dev_b = device_pair
+        events = []
+        self.log_measures_of(dev_a, events, monkeypatch)
+        real_process_m2 = lrav.runner.process_m2
+
+        def process_m2(*args):
+            events.append("process_m2")
+            return real_process_m2(*args)
+
+        monkeypatch.setattr(lrav.runner, "process_m2", process_m2)
+
+        def sent(data):
+            events.append(f"sent {transport.decode_frame(data)[0].msg_type:#04x}")
+            return (data,)
+
+        res_a, res_b, _ = run_both(dev_a, dev_b, a_hooks=[sent])
+        assert res_a.established and res_b.established
+        assert events == ["sent 0x01", "measure", "process_m2", "sent 0x03"]
+
+    def test_tampered_m2_is_bad_tag_after_one_initiator_measurement(self, device_pair, monkeypatch):
+        dev_a, dev_b = device_pair
+        events = []
+        self.log_measures_of(dev_a, events, monkeypatch)
+
+        def flip_m2_box(data):
+            if transport.decode_frame(data)[0].msg_type != transport.MSG_M2:
+                return (data,)
+            return (data[:-1] + bytes([data[-1] ^ 0x01]),)  # last box byte
+
+        res_a, _res_b, _ = run_both(dev_a, dev_b, b_hooks=[flip_m2_box])
+        assert not res_a.established and res_a.reason is AbortReason.BAD_TAG
+        assert events == ["measure"]
+
+
+class ResetAfterM1:
+    """Endpoint stub: delivers one M1, then fails every send like a reset socket."""
+
+    def __init__(self, m1: bytes):
+        self.frames = [transport.Frame(transport.MSG_M1, m1)]
+
+    def recv_frame(self, timeout):
+        if self.frames:
+            return self.frames.pop(0)
+        raise ChannelClosed("peer closed the connection")
+
+    def send_frame(self, msg_type, payload):
+        raise ChannelClosed("[Errno 104] Connection reset by peer")
+
+
+def test_failed_m2_send_ends_only_that_session(device_pair, capsys):
+    _, dev_b = device_pair
+    result = run_responder(dev_b, ResetAfterM1(valid_m1()), "alpha")
+    assert not result.established and not result.timed_out and result.reason is None
+    assert "reset by peer" in result.error
+    assert cli._report(result, dev_b.device_id) == cli.EXIT_ABORT
+    assert capsys.readouterr().err.startswith("attestation failed: failed (")
 
 
 @pytest.fixture
@@ -135,31 +218,18 @@ class TestCli:
         return tmp_path
 
     def serve_and_attest(self, tmp_path, capsys, timeout="2.0"):
-        port = str(free_port())
         codes = {}
 
         def serve():
             codes["serve"] = cli.main([
                 "serve", "--profile", str(tmp_path / "beta.json"),
                 "--trust", str(tmp_path / "beta.trust"),
-                "--addr", f"127.0.0.1:{port}", "--once", "--timeout", timeout,
+                "--addr", "127.0.0.1:0", "--once", "--timeout", timeout,
             ])
 
         worker = threading.Thread(target=serve)
         worker.start()
-        import time
-
-        # wait for the listener to bind: a plain bind (no SO_REUSEADDR) fails
-        # with EADDRINUSE once serve owns the port; connecting would instead
-        # consume the --once slot
-        deadline = time.time() + 2.0
-        while time.time() < deadline:
-            with socket.socket() as probe:
-                try:
-                    probe.bind(("127.0.0.1", int(port)))
-                except OSError:
-                    break
-            time.sleep(0.02)
+        port = wait_for_listener(capsys)
         codes["attest"] = cli.main([
             "attest", "--profile", str(tmp_path / "alpha.json"),
             "--trust", str(tmp_path / "alpha.trust"),
@@ -167,6 +237,34 @@ class TestCli:
         ])
         worker.join()
         return codes, capsys.readouterr()
+
+    def test_serve_survives_peers_that_reset_after_m1(self, tmp_path, rng, capsys):
+        self.provision_pair(tmp_path, rng, capsys)
+        src = Path(lrav.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "lrav", "serve",
+             "--profile", str(tmp_path / "beta.json"), "--trust", str(tmp_path / "beta.trust"),
+             "--addr", "127.0.0.1:0", "--timeout", "2.0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            port = int(re.fullmatch(r"listening on \S+:(\d+)\n", serve.stdout.readline()).group(1))
+            for _ in range(2):  # valid M1, then close with a reset instead of a FIN
+                with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
+                    sock.sendall(transport.encode_frame(transport.MSG_M1, valid_m1()))
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            code = cli.main([
+                "attest", "--profile", str(tmp_path / "alpha.json"),
+                "--trust", str(tmp_path / "alpha.trust"),
+                "--addr", f"127.0.0.1:{port}", "--timeout", "5.0",
+            ])
+            still_serving = serve.poll() is None
+        finally:
+            serve.kill()
+            serve.communicate(timeout=10)
+        assert code == 0 and still_serving
 
     def test_provision_is_reproducible(self, tmp_path, rng, capsys):
         fw = tmp_path / "fw.bin"
