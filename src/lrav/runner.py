@@ -9,6 +9,7 @@ harness can tell non-response from rejection.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -176,3 +177,33 @@ def run_responder(
     except ProtocolAbort as exc:
         return _protocol_abort(ep, st, exc)
     return SessionResult(True, st)
+
+
+def run_pair(
+    dev_a: DeviceState,
+    dev_b: DeviceState,
+    *,
+    a_hooks=(),
+    b_hooks=(),
+    timeout: float = transport.DEFAULT_TIMEOUT,
+) -> tuple[SessionResult, SessionResult]:
+    """One handshake over an in-memory channel: B on a worker thread, A inline.
+
+    Each hook becomes a send hook on that side's endpoint. Peer ids are the
+    devices' own ids. Returns (A's result, B's result).
+    """
+    ep_a, ep_b = transport.channel_pair()
+    for hook in a_hooks:
+        ep_a.add_send_hook(hook)
+    for hook in b_hooks:
+        ep_b.add_send_hook(hook)
+    res_b: list[SessionResult] = []
+    worker = threading.Thread(
+        target=lambda: res_b.append(run_responder(dev_b, ep_b, dev_a.device_id, timeout))
+    )
+    worker.start()
+    try:
+        res_a = run_initiator(dev_a, ep_a, dev_b.device_id, timeout)
+    finally:
+        worker.join()
+    return res_a, res_b[0]

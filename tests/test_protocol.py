@@ -1,3 +1,7 @@
+import hashlib
+import random
+import types
+
 import pytest
 
 import lrav.protocol
@@ -29,6 +33,8 @@ from lrav.protocol import (
     respond_m1,
     transcript_hash,
 )
+from lrav.provisioning import provision_pair
+from lrav.runner import run_pair
 
 # sha3_256 over 244 zero bytes, computed once with hashlib and frozen
 ZERO_TRANSCRIPT = "ad17cb196f25d881e83209846061c9a70457aa2a6d5a5b2dc92d958673cef874"
@@ -40,6 +46,32 @@ def honest_run(dev_a, dev_b):
     st_a, m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
     st_b = process_m3(dev_b, st_b, m3)
     return st_a, st_b, (m1, m2, m3)
+
+
+# SHA-256 of the three frames of one seeded handshake, recorded before the
+# protocol helpers were merged; any change to the wire bytes changes it
+GOLDEN_TRANSCRIPT = "598369bc511380b2d51fb05f7963cb62c43b9d2fc702a8fa3fbad3a9fb6c032b"
+
+
+def test_golden_wire_transcript(monkeypatch):
+    draws = random.Random(0x601D)  # A draws before M1 is sent, B after it arrives
+    monkeypatch.setattr(lrav.protocol, "secrets", types.SimpleNamespace(token_bytes=draws.randbytes))
+    monkeypatch.setattr(
+        lrav.protocol.X25519PrivateKey, "generate",
+        lambda: lrav.protocol.X25519PrivateKey.from_private_bytes(draws.randbytes(32)),
+    )
+    firmware = random.Random(0xF1).randbytes(16 * 1024)
+    dev_a, dev_b = provision_pair(firmware[:8192], firmware[8192:])
+    frames = []
+
+    def tap(data):
+        frames.append(data)
+        return (data,)
+
+    res_a, res_b = run_pair(dev_a, dev_b, a_hooks=[tap], b_hooks=[tap])
+    assert res_a.established and res_b.established
+    assert [len(f) for f in frames] == [75, 271, 206]
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == GOLDEN_TRANSCRIPT
 
 
 class TestWireSizes:
