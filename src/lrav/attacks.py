@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import enum
 import random
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 from . import pmp, transport
 from .device import DeviceState, mem_access
@@ -37,7 +36,8 @@ from .protocol import (
     respond_m1,
 )
 from .provisioning import FLASH_BASE, provision_pair
-from .runner import SessionResult, run_initiator, run_responder
+from .quote import QUOTE_WIRE_BYTES
+from .runner import run_pair
 
 ATTACK_TIMEOUT = 0.3  # short: non-response scenarios resolve by timing out
 
@@ -86,31 +86,14 @@ def _honest_pair(rng: random.Random) -> tuple[DeviceState, DeviceState]:
     return provision_pair(rng.randbytes(_ATTESTED_BYTES), rng.randbytes(_ATTESTED_BYTES))
 
 
-def _run_session(dev_a, dev_b, *, a_hooks=(), b_hooks=(), timeout=ATTACK_TIMEOUT):
-    """One full run over an in-memory channel; responder on a worker thread."""
-    ep_a, ep_b = transport.channel_pair()
-    for hook in a_hooks:
-        ep_a.add_send_hook(hook)
-    for hook in b_hooks:
-        ep_b.add_send_hook(hook)
-    results: dict[str, SessionResult] = {}
-
-    def responder():
-        results["b"] = run_responder(dev_b, ep_b, "alpha", timeout=timeout)
-
-    worker = threading.Thread(target=responder)
-    worker.start()
-    results["a"] = run_initiator(dev_a, ep_a, "beta", timeout=timeout)
-    worker.join()
-    return results["a"], results["b"]
-
-
-def _verdict_of(result: SessionResult) -> Verdict:
-    if result.established:
+def _initiator_verdict(dev_a: DeviceState, dev_b: DeviceState, **hooks) -> Verdict:
+    """A's verdict on one run of the pair (send hooks as for run_pair)."""
+    res_a, _ = run_pair(dev_a, dev_b, timeout=ATTACK_TIMEOUT, **hooks)
+    if res_a.established:
         return Verdict(VerdictKind.ESTABLISHED)
-    if result.timed_out:
+    if res_a.timed_out:
         return Verdict(VerdictKind.TIMEOUT)
-    return Verdict(VerdictKind.ABORTED, result.reason)
+    return Verdict(VerdictKind.ABORTED, res_a.reason)
 
 
 # --- adversary actions ---------------------------------------------------------
@@ -155,8 +138,6 @@ def _adv_tamper_firmware(dev: DeviceState, rng: random.Random) -> None:
 
 def _adv_zeroize_staged_quote(dev: DeviceState) -> None:
     """[A3] overwrite the attestation agent's staged quote before transmission."""
-    from .quote import QUOTE_WIRE_BYTES
-
     mem_access(dev, pmp.Access.WRITE, dev.staging_addr, data=bytes(QUOTE_WIRE_BYTES))
 
 
@@ -210,8 +191,6 @@ def _adv_swap_point(dev_a, dev_b) -> Verdict:
     attacker_point = attacker.public_key().public_bytes_raw()
     n_a, n_b = st_b.nonces()
     inner = ae_open(st_b.k, Direction.M2, n_a, n_b, m2.box)  # granted plaintext
-    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
-
     k_prime = derive_session_key(
         attacker.exchange(X25519PublicKey.from_public_bytes(m1.point)), n_a, n_b
     )
@@ -225,54 +204,41 @@ def _adv_swap_point(dev_a, dev_b) -> Verdict:
 
 # --- scenario runners -----------------------------------------------------------
 
-def _scn_pmp_lock_rewrite(rng):
-    dev_a, _ = _honest_pair(rng)
-    return _adv_rewrite_qsk_pmp(dev_a)
+def _on_device(adversary: Callable[[DeviceState], Verdict]):
+    """Scenario runner that applies a device-only action to A of an honest pair."""
 
+    def run(rng):
+        dev_a, _ = _honest_pair(rng)
+        return adversary(dev_a)
 
-def _scn_qsk_read(rng):
-    dev_a, _ = _honest_pair(rng)
-    return _adv_read_qsk(dev_a)
-
-
-def _scn_rom_write(rng):
-    dev_a, _ = _honest_pair(rng)
-    return _adv_write_rom(dev_a)
+    return run
 
 
 def _scn_firmware_tamper(rng):
     dev_a, dev_b = _honest_pair(rng)
     _adv_tamper_firmware(dev_b, rng)
-    res_a, _res_b = _run_session(dev_a, dev_b)
-    return _verdict_of(res_a)
+    return _initiator_verdict(dev_a, dev_b)
 
 
 def _scn_quote_overwrite(rng):
     dev_a, dev_b = _honest_pair(rng)
-    dev_b.quote_staging_hook = lambda dev: _adv_zeroize_staged_quote(dev)
-    res_a, _res_b = _run_session(dev_a, dev_b)
-    return _verdict_of(res_a)
+    dev_b.quote_staging_hook = _adv_zeroize_staged_quote
+    return _initiator_verdict(dev_a, dev_b)
 
 
 def _scn_non_response(rng):
-    dev_a, dev_b = _honest_pair(rng)
-    res_a, _res_b = _run_session(dev_a, dev_b, b_hooks=[_adv_drop_all])
-    return _verdict_of(res_a)
+    return _initiator_verdict(*_honest_pair(rng), b_hooks=[_adv_drop_all])
 
 
 def _scn_message_drop(rng):
-    dev_a, dev_b = _honest_pair(rng)
-    res_a, _res_b = _run_session(dev_a, dev_b, a_hooks=[_adv_drop_all])
-    return _verdict_of(res_a)
+    return _initiator_verdict(*_honest_pair(rng), a_hooks=[_adv_drop_all])
 
 
 def _scn_ciphertext_bitflip(rng):
-    dev_a, dev_b = _honest_pair(rng)
     # M2 payload: nonce(32) point(32) ar(1) box(196); flip inside the box,
     # past the frame header (10 bytes).
     box = slice(10 + 65, None)
-    res_a, _res_b = _run_session(dev_a, dev_b, b_hooks=[_adv_bitflip(rng, box)])
-    return _verdict_of(res_a)
+    return _initiator_verdict(*_honest_pair(rng), b_hooks=[_adv_bitflip(rng, box)])
 
 
 def _scn_m2_replay(rng):
@@ -283,15 +249,14 @@ def _scn_m2_replay(rng):
         recorded.append(data)
         return (data,)
 
-    res_a, res_b = _run_session(dev_a, dev_b, b_hooks=[record_m2])
+    res_a, res_b = run_pair(dev_a, dev_b, b_hooks=[record_m2], timeout=ATTACK_TIMEOUT)
     if not (res_a.established and res_b.established and recorded):
         return Verdict(VerdictKind.AUDIT_FAIL)
 
     def replay_m2(data: bytes):  # substitute the stale flight for the fresh one
         return (recorded[0],)
 
-    res_a2, _res_b2 = _run_session(dev_a, dev_b, b_hooks=[replay_m2])
-    return _verdict_of(res_a2)
+    return _initiator_verdict(dev_a, dev_b, b_hooks=[replay_m2])
 
 
 def _scn_m3_splice(rng):
@@ -306,8 +271,7 @@ def _scn_m3_splice(rng):
 
 
 def _scn_q_swap(rng):
-    dev_a, dev_b = _honest_pair(rng)
-    return _adv_swap_point(dev_a, dev_b)
+    return _adv_swap_point(*_honest_pair(rng))
 
 
 def _scn_nonce_reuse_audit(rng):
@@ -320,7 +284,8 @@ def _scn_nonce_reuse_audit(rng):
         return (data,)
 
     for _ in range(6):
-        res_a, res_b = _run_session(dev_a, dev_b, a_hooks=[tap], b_hooks=[tap])
+        res_a, res_b = run_pair(dev_a, dev_b, a_hooks=[tap], b_hooks=[tap],
+                                timeout=ATTACK_TIMEOUT)
         if not (res_a.established and res_b.established):
             return Verdict(VerdictKind.AUDIT_FAIL)
     hellos = [
@@ -338,17 +303,18 @@ def catalog() -> list[Scenario]:
         Scenario(
             "pmp-lock-rewrite",
             "rewrite the locked QSK PMP entry from untrusted code",
-            Verdict(VerdictKind.LOCKED_ENTRY), _scn_pmp_lock_rewrite, _adv_rewrite_qsk_pmp,
+            Verdict(VerdictKind.LOCKED_ENTRY),
+            _on_device(_adv_rewrite_qsk_pmp), _adv_rewrite_qsk_pmp,
         ),
         Scenario(
             "qsk-read-attempt",
             "read the signing-key window from untrusted code",
-            Verdict(VerdictKind.ACCESS_FAULT), _scn_qsk_read, _adv_read_qsk,
+            Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_read_qsk), _adv_read_qsk,
         ),
         Scenario(
             "rom-write-attempt",
             "overwrite the ROM-resident trust store",
-            Verdict(VerdictKind.ACCESS_FAULT), _scn_rom_write, _adv_write_rom,
+            Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_write_rom), _adv_write_rom,
         ),
         Scenario(
             "firmware-tamper",

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import os
 import statistics
-import threading
 import time
 from dataclasses import dataclass
 
-from . import transport
 from .crtm import AttestationConfig, WorkCounter, measure
 from .memory import MemoryImage, Region, RegionKind
 from .provisioning import FLASH_BASE, provision_pair
-from .runner import run_initiator, run_responder
+from .runner import run_pair
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -40,10 +38,6 @@ class CrtmSample:
     @property
     def mean(self) -> float:
         return statistics.fmean(self.times)
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.times)
 
 
 @dataclass
@@ -93,19 +87,11 @@ def protocol_bench(
     samples = {size: ProtocolSample(size, []) for size in sizes}
     for _ in range(iters):
         for size in sizes:
-            dev_a, dev_b = pairs[size]
-            ep_a, ep_b = transport.channel_pair()
-            outcome = {}
-            worker = threading.Thread(
-                target=lambda: outcome.update(b=run_responder(dev_b, ep_b, "alpha"))
-            )
             start = time.perf_counter()
-            worker.start()
-            outcome["a"] = run_initiator(dev_a, ep_a, "beta")
-            worker.join()
+            res_a, res_b = run_pair(*pairs[size])
             elapsed = time.perf_counter() - start
-            if not (outcome["a"].established and outcome["b"].established):
-                raise RuntimeError(f"bench handshake failed: {outcome['a'].describe()}")
+            if not (res_a.established and res_b.established):
+                raise RuntimeError(f"bench handshake failed: {res_a.describe()}")
             samples[size].times.append(elapsed)
     return [samples[size] for size in sizes]
 

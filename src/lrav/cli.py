@@ -10,12 +10,13 @@ keys are reported as an 8-hex-char fingerprint.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import threading
 from pathlib import Path
 
 from . import attacks, bench, transport
-from .crtm import AttestationConfig
+from .crtm import AttestationConfig, measure
 from .device import DeviceState
 from .errors import ChannelClosed, LravError, TransportTimeout
 from .memory import MemoryImage, Region, RegionKind
@@ -77,13 +78,7 @@ def _load_device(args) -> DeviceState:
         if not fw_path.is_absolute():
             fw_path = Path(args.profile).parent / fw_path
         firmware = fw_path.read_bytes()
-    profile = DeviceProfile(
-        device_id=profile.device_id,
-        qsk_seed=profile.qsk_seed,
-        attest=_attest_override(args, profile.attest),
-        layout=profile.layout,
-        firmware=profile.firmware,
-    )
+    profile = dataclasses.replace(profile, attest=_attest_override(args, profile.attest))
     return build_device(profile, trust, firmware)
 
 
@@ -141,8 +136,6 @@ def cmd_provision(args) -> int:
 
 def cmd_measure(args) -> int:
     dev = _load_device(args)
-    from .crtm import measure
-
     measurement = measure(dev.memory, dev.attest_config)
     print(measurement.digest.hex(), flush=True)
     return EXIT_OK
@@ -150,6 +143,7 @@ def cmd_measure(args) -> int:
 
 def cmd_attest(args) -> int:
     dev = _load_device(args)
+    peer = args.peer or dev.trust.sole_peer()
     host, port = _parse_addr(args.addr)
     try:
         ep = transport.dial(host, port, timeout=args.timeout)
@@ -157,17 +151,10 @@ def cmd_attest(args) -> int:
         _eprint(f"cannot connect to {args.addr}: {exc}")
         return EXIT_TRANSPORT
     try:
-        result = run_initiator(dev, ep, args.peer or _sole_peer(dev), timeout=args.timeout)
+        result = run_initiator(dev, ep, peer, timeout=args.timeout)
     finally:
         ep.close()
     return _report(result, dev.device_id)
-
-
-def _sole_peer(dev: DeviceState) -> str:
-    peers = dev.trust.peer_ids()
-    if len(peers) != 1:
-        raise ValueError("multiple peers provisioned; use --peer to pick one")
-    return peers[0]
 
 
 def cmd_serve(args) -> int:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from . import pmp
 from .errors import AccessFault
-from .memory import MemoryImage, RegionKind
+from .memory import MemoryImage
 
 if TYPE_CHECKING:  # import cycle: quote/provisioning build on DeviceState
     from .crtm import AttestationConfig
@@ -77,16 +77,14 @@ def mem_access(
     if length is None or length <= 0:
         raise ValueError("access length must be positive")
 
-    region = dev.memory.region_for(addr, length)
+    dev.memory.region_for(addr, length)  # OutOfRange before any PMP verdict
     if not pmp.check(dev.bank, access, addr, length):
         raise AccessFault(next(
             start for start, config in pmp.pieces(dev.bank, addr, length)
             if config is not None and not config.allows(access)
         ))
     if access is pmp.Access.WRITE:
-        if region.kind is RegionKind.ROM:
-            raise AccessFault(addr, f"rom region is immutable ({addr:#010x})")
-        dev.memory.write(addr, data)
+        dev.memory.write(addr, data)  # AccessFault on ROM, whatever the PMP says
         return None
     return dev.memory.read(addr, length)
 

@@ -21,10 +21,6 @@ class Region:
     data: bytearray
 
     @property
-    def size(self) -> int:
-        return len(self.data)
-
-    @property
     def end(self) -> int:
         return self.base + len(self.data)
 

@@ -99,6 +99,15 @@ class Phase(enum.Enum):
 
 # --- wire messages ----------------------------------------------------------
 
+def _unpack_hello(data: bytes, name: str, size: int) -> tuple[bytes, bytes, bytes]:
+    """Nonce, point and the rest of an M1 or M2 payload, after the length and AR-flag checks."""
+    if len(data) != size:
+        raise MalformedMessage(f"{name} must be {size} bytes, got {len(data)}")
+    if data[64] != AR_FLAG:
+        raise MalformedMessage(f"bad attestation-request flag {data[64]:#04x}")
+    return data[:32], data[32:64], data[65:]
+
+
 @dataclass(frozen=True)
 class WireM1:
     nonce: bytes
@@ -110,12 +119,8 @@ class WireM1:
 
     @classmethod
     def unpack(cls, data: bytes) -> "WireM1":
-        if len(data) != M1_BYTES:
-            raise MalformedMessage(f"M1 must be {M1_BYTES} bytes, got {len(data)}")
-        ar = data[64]
-        if ar != AR_FLAG:
-            raise MalformedMessage(f"bad attestation-request flag {ar:#04x}")
-        return cls(data[:32], data[32:64], ar)
+        nonce, point, _ = _unpack_hello(data, "M1", M1_BYTES)
+        return cls(nonce, point)
 
 
 @dataclass(frozen=True)
@@ -130,12 +135,7 @@ class WireM2:
 
     @classmethod
     def unpack(cls, data: bytes) -> "WireM2":
-        if len(data) != M2_BYTES:
-            raise MalformedMessage(f"M2 must be {M2_BYTES} bytes, got {len(data)}")
-        ar = data[64]
-        if ar != AR_FLAG:
-            raise MalformedMessage(f"bad attestation-request flag {ar:#04x}")
-        return cls(data[:32], data[32:64], data[65:], ar)
+        return cls(*_unpack_hello(data, "M2", M2_BYTES))
 
 
 @dataclass(frozen=True)
@@ -261,18 +261,20 @@ def transcript_hash(
     ).digest()
 
 
-def _exchange(st: SessionState, peer_point: bytes) -> bytes:
-    """X25519 with contributory-behaviour check; clears the scalar after use."""
+def _agree(st: SessionState, point: bytes) -> None:
+    """X25519 with the peer's point, then K; a degenerate point aborts WEAK_POINT.
+
+    The ephemeral scalar is cleared whatever the outcome.
+    """
     assert st.eph.secret is not None
+    st.peer_point = point
     try:
-        shared = st.eph.secret.exchange(X25519PublicKey.from_public_bytes(peer_point))
-    except ValueError as exc:  # backend rejects low-order/zero results
-        raise WeakPoint(str(exc)) from exc
+        shared = st.eph.secret.exchange(X25519PublicKey.from_public_bytes(point))
+        st.k = derive_session_key(shared, *st.nonces())
+    except (ValueError, WeakPoint) as exc:  # backend rejects low-order/zero results
+        _abort(st, AbortReason.WEAK_POINT, str(exc))
     finally:
         st.eph.secret = None
-    if shared == bytes(32):
-        raise WeakPoint("all-zero shared secret")
-    return shared
 
 
 def produce_own_quote(dev: DeviceState) -> bytes:
@@ -283,22 +285,31 @@ def produce_own_quote(dev: DeviceState) -> bytes:
         return stage_outgoing_quote(dev, own.to_wire())
 
 
-def _verify_peer_inner(
-    st: SessionState,
-    dev: DeviceState,
-    inner: bytes,
-    q_first: bytes,
-    q_second: bytes,
-) -> None:
-    """Shared M2/M3 payload validation: transcript signature, then quote."""
+def _seal_flight(dev: DeviceState, st: SessionState, direction: Direction, staged: bytes) -> bytes:
+    """Our box: the staged quote and the gated transcript signature, sealed under K.
+
+    Our own point comes first in the transcript we sign.
+    """
+    n_a, n_b = st.nonces()
+    digest = transcript_hash(staged, n_a, n_b, st.eph.public, st.peer_point)
+    sig = sign_transcript_gated(dev, digest)
+    return ae_seal(st.k, direction, n_a, n_b, staged + sig)
+
+
+def _open_flight(dev: DeviceState, st: SessionState, direction: Direction, box: bytes) -> None:
+    """Open the peer's box, then check its transcript signature and its quote."""
+    n_a, n_b = st.nonces()
+    try:
+        inner = ae_open(st.k, direction, n_a, n_b, box)
+    except AuthenticationFailed:
+        _abort(st, AbortReason.BAD_TAG, f"{direction.name} box failed authentication")
     if len(inner) != INNER_BYTES:
         _abort(st, AbortReason.MALFORMED, f"inner plaintext must be {INNER_BYTES} bytes")
     quote_bytes, sig = inner[:QUOTE_WIRE_BYTES], inner[QUOTE_WIRE_BYTES:]
     peer = dev.trust.get(st.peer_id)
     if peer is None:
         raise UnknownPeer(st.peer_id)
-    n_a, n_b = st.nonces()
-    digest = transcript_hash(quote_bytes, n_a, n_b, q_first, q_second)
+    digest = transcript_hash(quote_bytes, n_a, n_b, st.peer_point, st.eph.public)
     try:
         Ed25519PublicKey.from_public_bytes(peer.verify_key).verify(sig, digest)
     except (InvalidSignature, ValueError):
@@ -341,28 +352,15 @@ def respond_m1(
     it may be omitted.
     """
     if peer_id is None:
-        peers = dev.trust.peer_ids()
-        if len(peers) != 1:
-            raise UnknownPeer("peer_id required when multiple peers are provisioned")
-        peer_id = peers[0]
+        peer_id = dev.trust.sole_peer()
     if dev.trust.get(peer_id) is None:
         raise UnknownPeer(peer_id)
 
     st = SessionState(role=Role.RESPONDER, peer_id=peer_id)
     st.my_nonce = secrets.token_bytes(NONCE_BYTES)
     st.peer_nonce = m1.nonce
-    st.peer_point = m1.point
-
-    try:
-        shared = _exchange(st, m1.point)
-        st.k = derive_session_key(shared, *st.nonces())
-    except WeakPoint as exc:
-        _abort(st, AbortReason.WEAK_POINT, str(exc))
-    n_a, n_b = st.nonces()
-    staged = produce_own_quote(dev)
-    digest = transcript_hash(staged, n_a, n_b, st.eph.public, m1.point)
-    sig = sign_transcript_gated(dev, digest)
-    box = ae_seal(st.k, Direction.M2, n_a, n_b, staged + sig)
+    _agree(st, m1.point)
+    box = _seal_flight(dev, st, Direction.M2, produce_own_quote(dev))
     st.phase = Phase.SENT_M2
     return st, WireM2(st.my_nonce, st.eph.public, box)
 
@@ -377,22 +375,9 @@ def process_m2(
     if st.role is not Role.INITIATOR or st.phase is not Phase.SENT_M1:
         raise ProtocolStateError(f"M2 not acceptable in phase {st.phase.value}")
     st.peer_nonce = m2.nonce
-    st.peer_point = m2.point
-    try:
-        shared = _exchange(st, m2.point)
-        st.k = derive_session_key(shared, *st.nonces())
-    except WeakPoint as exc:
-        _abort(st, AbortReason.WEAK_POINT, str(exc))
-    n_a, n_b = st.nonces()
-    try:
-        inner = ae_open(st.k, Direction.M2, n_a, n_b, m2.box)
-    except AuthenticationFailed:
-        _abort(st, AbortReason.BAD_TAG, "M2 box failed authentication")
-    _verify_peer_inner(st, dev, inner, m2.point, st.eph.public)
-
-    digest = transcript_hash(staged, n_a, n_b, st.eph.public, m2.point)
-    sig = sign_transcript_gated(dev, digest)
-    box = ae_seal(st.k, Direction.M3, n_a, n_b, staged + sig)
+    _agree(st, m2.point)
+    _open_flight(dev, st, Direction.M2, m2.box)
+    box = _seal_flight(dev, st, Direction.M3, staged)
     st.phase = Phase.ESTABLISHED
     return st, WireM3(box)
 
@@ -402,11 +387,6 @@ def process_m3(dev: DeviceState, st: SessionState, m3: WireM3) -> SessionState:
     if st.role is not Role.RESPONDER or st.phase is not Phase.SENT_M2:
         raise ProtocolStateError(f"M3 not acceptable in phase {st.phase.value}")
     assert st.k is not None
-    n_a, n_b = st.nonces()
-    try:
-        inner = ae_open(st.k, Direction.M3, n_a, n_b, m3.box)
-    except AuthenticationFailed:
-        _abort(st, AbortReason.BAD_TAG, "M3 box failed authentication")
-    _verify_peer_inner(st, dev, inner, st.peer_point, st.eph.public)
+    _open_flight(dev, st, Direction.M3, m3.box)
     st.phase = Phase.ESTABLISHED
     return st

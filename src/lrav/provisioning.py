@@ -17,14 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import crtm
 from .device import QSK_REGION_SIZE, DeviceState, device_reset
-from .errors import DuplicatePeer, InsufficientEntropy, InvalidRange, ParseError
+from .errors import DuplicatePeer, InsufficientEntropy, InvalidRange, ParseError, UnknownPeer
 from .memory import MemoryImage, Region, RegionKind
 from .pmp import PmpBank
 from .quote import QuoteSigningKey
@@ -87,11 +87,12 @@ class TrustStore:
     def get(self, peer_id: str) -> TrustedPeer | None:
         return self._entries.get(peer_id)
 
-    def __contains__(self, peer_id: str) -> bool:
-        return peer_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def sole_peer(self) -> str:
+        """The peer to assume when none is named: only a one-peer store has one."""
+        if len(self._entries) != 1:
+            n = len(self._entries)
+            raise UnknownPeer(f"a peer must be named: {n} peers are provisioned, not exactly one")
+        return next(iter(self._entries))
 
     def peer_ids(self) -> list[str]:
         return list(self._entries)
@@ -126,7 +127,7 @@ def parse_trust_store(text: str) -> TrustStore:
     key: bytes | None = None
     expected: list[crtm.Measurement] = []
 
-    def finish(lineno: int):
+    def finish():
         nonlocal peer_id, key, expected
         if peer_id is None:
             return
@@ -140,12 +141,12 @@ def parse_trust_store(text: str) -> TrustStore:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            finish(lineno)
+            finish()
             continue
         fields = line.split()
         tag = fields[0]
         if tag == "peer":
-            finish(lineno)
+            finish()
             if len(fields) != 2:
                 raise ParseError(lineno, "peer line needs exactly one id")
             if fields[1] in entries:
@@ -179,7 +180,7 @@ def parse_trust_store(text: str) -> TrustStore:
             expected.append(crtm.Measurement(digest, config))
         else:
             raise ParseError(lineno, f"unknown directive {tag!r}")
-    finish(len(text.splitlines()) + 1)
+    finish()
     return TrustStore(entries)
 
 
@@ -237,7 +238,6 @@ class DeviceProfile:
 
 
 def save_profile(path: str | Path, profile: DeviceProfile) -> None:
-    layout = profile.layout
     doc = {
         "device_id": profile.device_id,
         "qsk_seed": profile.qsk_seed.hex(),
@@ -246,15 +246,7 @@ def save_profile(path: str | Path, profile: DeviceProfile) -> None:
             "end": hex(profile.attest.end_addr),
             "block": profile.attest.block_size,
         },
-        "memory": {
-            "rom_base": hex(layout.rom_base),
-            "rom_size": hex(layout.rom_size),
-            "flash_base": hex(layout.flash_base),
-            "flash_size": hex(layout.flash_size),
-            "sram_base": hex(layout.sram_base),
-            "sram_size": hex(layout.sram_size),
-            "qsk_base": hex(layout.qsk_base),
-        },
+        "memory": {f.name: hex(getattr(profile.layout, f.name)) for f in fields(MemoryLayout)},
         "firmware": profile.firmware,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -268,15 +260,9 @@ def load_profile(path: str | Path) -> DeviceProfile:
             int(doc["attest"]["end"], 0),
             int(doc["attest"]["block"]),
         )
-        mem = doc.get("memory", {})
+        mem = doc.get("memory", {})  # a missing key keeps its default
         layout = MemoryLayout(
-            rom_base=int(mem.get("rom_base", hex(ROM_BASE)), 0),
-            rom_size=int(mem.get("rom_size", hex(ROM_SIZE)), 0),
-            flash_base=int(mem.get("flash_base", hex(FLASH_BASE)), 0),
-            flash_size=int(mem.get("flash_size", hex(FLASH_SIZE)), 0),
-            sram_base=int(mem.get("sram_base", hex(SRAM_BASE)), 0),
-            sram_size=int(mem.get("sram_size", hex(SRAM_SIZE)), 0),
-            qsk_base=int(mem.get("qsk_base", hex(QSK_BASE)), 0),
+            **{f.name: int(mem[f.name], 0) for f in fields(MemoryLayout) if f.name in mem}
         )
         return DeviceProfile(
             device_id=doc["device_id"],

@@ -17,7 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from . import pmp
+from . import device, pmp
 from .crtm import MEASUREMENT_BYTES, Measurement, measurement_equals
 from .device import QSK_REGION_SIZE, DeviceState
 from .errors import GateViolation, MalformedMessage
@@ -152,11 +152,9 @@ def stage_outgoing_quote(dev: DeviceState, wire: bytes) -> bytes:
     """
     if len(wire) != QUOTE_WIRE_BYTES:
         raise MalformedMessage(f"staged quote must be {QUOTE_WIRE_BYTES} bytes")
-    from .device import mem_access  # local import keeps module load order simple
-
-    mem_access(dev, pmp.Access.WRITE, dev.staging_addr, data=wire)
+    device.mem_access(dev, pmp.Access.WRITE, dev.staging_addr, data=wire)
     if dev.quote_staging_hook is not None:
         dev.quote_staging_hook(dev)
-    staged = mem_access(dev, pmp.Access.READ, dev.staging_addr, length=QUOTE_WIRE_BYTES)
+    staged = device.mem_access(dev, pmp.Access.READ, dev.staging_addr, length=QUOTE_WIRE_BYTES)
     assert staged is not None
     return staged

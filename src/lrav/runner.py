@@ -76,12 +76,10 @@ def _send_error(ep, reason: AbortReason) -> None:
 
 
 def _peer_error_result(st: SessionState | None, payload: bytes) -> SessionResult:
-    reason = None
-    if len(payload) >= 1:
-        try:
-            reason = AbortReason(payload[0])
-        except ValueError:
-            reason = None
+    try:
+        reason = AbortReason(payload[0])
+    except (IndexError, ValueError):  # empty payload or unknown reason byte
+        reason = None
     if st is not None:
         st.phase = Phase.ABORTED
         st.abort_reason = reason
@@ -94,11 +92,6 @@ def _local_abort(ep, st: SessionState | None, reason: AbortReason, detail: str) 
         st.abort_reason = reason
     _send_error(ep, reason)
     return SessionResult(False, st, reason=reason, error=detail)
-
-
-def _protocol_abort(ep, st: SessionState | None, exc: ProtocolAbort) -> SessionResult:
-    _send_error(ep, exc.reason)
-    return SessionResult(False, st, reason=exc.reason, error=str(exc))
 
 
 def _recv_message(ep, st: SessionState | None, msg_type: int, wire, timeout: float):
@@ -144,7 +137,7 @@ def run_initiator(
     try:
         st, m3 = process_m2(dev, st, m2, staged)
     except ProtocolAbort as exc:
-        return _protocol_abort(ep, st, exc)
+        return _local_abort(ep, st, exc.reason, str(exc))
     ep.send_frame(transport.MSG_M3, m3.pack())
     return SessionResult(True, st)
 
@@ -162,7 +155,7 @@ def run_responder(
     try:
         st, m2 = respond_m1(dev, m1, peer_id)
     except ProtocolAbort as exc:
-        return _protocol_abort(ep, None, exc)
+        return _local_abort(ep, None, exc.reason, str(exc))
     except UnknownPeer as exc:
         return _local_abort(ep, None, AbortReason.MALFORMED, str(exc))
     try:
@@ -175,7 +168,7 @@ def run_responder(
     try:
         st = process_m3(dev, st, m3)
     except ProtocolAbort as exc:
-        return _protocol_abort(ep, st, exc)
+        return _local_abort(ep, st, exc.reason, str(exc))
     return SessionResult(True, st)
 
 

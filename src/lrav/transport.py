@@ -65,9 +65,7 @@ def decode_frame(data: bytes) -> tuple[Frame, bytes]:
         raise BadMagic(f"bad frame magic {data[:probe]!r}")
     if len(data) < HEADER_BYTES:
         raise Truncated("incomplete frame header")
-    magic, version, msg_type, length = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagic(f"bad frame magic {magic!r}")
+    _, version, msg_type, length = _HEADER.unpack_from(data)  # magic checked above
     if version != VERSION:
         raise BadVersion(f"unsupported frame version {version:#04x}")
     if msg_type not in _VALID_TYPES:

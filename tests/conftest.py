@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import threading
 import time
 
 import pytest
@@ -31,6 +32,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in lines:
             terminalreporter.write_line(line)
 
+from lrav import cli
 from lrav.memory import MemoryImage, Region, RegionKind
 from lrav.provisioning import FLASH_BASE, provision_pair
 
@@ -60,6 +62,50 @@ def wait_for_listener(capsys, deadline_s: float = 3.0) -> int:
         sys.stdout.write(seen_out)
         sys.stderr.write(seen_err)
     raise AssertionError("listener never bound")
+
+
+def provision_cli_pair(tmp_path, rng, capsys, attested_bytes=8 * 1024, seeds=("aa", "bb")):
+    """Provision alpha and beta with `lrav provision`, each trusting the other.
+
+    Leaves <name>.fw, <name>.json and <name>.trust in tmp_path.
+    """
+    records = {}
+    for name, seed in zip(("alpha", "beta"), seeds):
+        fw = tmp_path / f"{name}.fw"
+        fw.write_bytes(rng.randbytes(attested_bytes))
+        assert cli.main([
+            "provision", "--image", str(fw), "--id", name,
+            "--profile", str(tmp_path / f"{name}.json"), "--seed", seed * 32,
+        ]) == 0
+        records[name] = capsys.readouterr().out
+    (tmp_path / "alpha.trust").write_text(records["beta"])
+    (tmp_path / "beta.trust").write_text(records["alpha"])
+
+
+def serve_and_attest(tmp_path, capsys, timeout="2.0") -> dict[str, int]:
+    """`lrav serve --once` as beta on a thread, then `lrav attest` as alpha.
+
+    Returns both exit codes; their output stays in capsys.
+    """
+    codes = {}
+
+    def serve():
+        codes["serve"] = cli.main([
+            "serve", "--profile", str(tmp_path / "beta.json"),
+            "--trust", str(tmp_path / "beta.trust"),
+            "--addr", "127.0.0.1:0", "--once", "--timeout", timeout,
+        ])
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    port = wait_for_listener(capsys)
+    codes["attest"] = cli.main([
+        "attest", "--profile", str(tmp_path / "alpha.json"),
+        "--trust", str(tmp_path / "alpha.trust"),
+        "--addr", f"127.0.0.1:{port}", "--timeout", timeout,
+    ])
+    worker.join()
+    return codes
 
 
 def make_pair(rng: random.Random, attested_bytes: int = 8 * 1024, block: int = 1024):

@@ -7,7 +7,6 @@ configurations cancels clock-speed drift between them.
 """
 
 import random
-import threading
 import time
 
 import pytest
@@ -17,10 +16,10 @@ from lrav.crtm import AttestationConfig, measure
 from lrav.errors import BadMagic, BadVersion, LockedEntry, Oversize, Truncated
 from lrav.pmp import Access, AddrMode, PmpBank, PmpConfig
 from lrav.provisioning import FLASH_BASE, load_profile
-from lrav.runner import run_initiator, run_responder
+from lrav.runner import run_pair
 from lrav.transport import decode_frame, encode_frame
 
-from conftest import flash_image, make_pair, wait_for_listener
+from conftest import flash_image, make_pair, provision_cli_pair, serve_and_attest
 from oracles import napot_range_oracle, recursive_chain_digest, tor_range_oracle
 
 
@@ -35,44 +34,11 @@ def report(criterion: str, detail: str = ""):
     print(line)
 
 
-def provision_cli_pair(tmp_path, rng, capsys, attested_bytes):
-    """provision both devices via the CLI; returns their record texts."""
-    records = {}
-    for name, seed in (("alpha", "ac"), ("beta", "bd")):
-        fw = tmp_path / f"{name}.fw"
-        fw.write_bytes(rng.randbytes(attested_bytes))
-        assert cli.main([
-            "provision", "--image", str(fw), "--id", name,
-            "--profile", str(tmp_path / f"{name}.json"), "--seed", seed * 32,
-        ]) == 0
-        records[name] = capsys.readouterr().out
-    (tmp_path / "alpha.trust").write_text(records["beta"])
-    (tmp_path / "beta.trust").write_text(records["alpha"])
-    return records
-
-
 def test_c1_end_to_end_honest_run(tmp_path, rng, capsys):
     """Serve + attest over loopback, 256 KB attested, < 5 s, identical keys."""
-    provision_cli_pair(tmp_path, rng, capsys, attested_bytes=256 * 1024)
-    codes = {}
-
-    def serve():
-        codes["serve"] = cli.main([
-            "serve", "--profile", str(tmp_path / "beta.json"),
-            "--trust", str(tmp_path / "beta.trust"),
-            "--addr", "127.0.0.1:0", "--once", "--timeout", "5.0",
-        ])
-
-    worker = threading.Thread(target=serve)
+    provision_cli_pair(tmp_path, rng, capsys, attested_bytes=256 * 1024, seeds=("ac", "bd"))
     start = time.perf_counter()
-    worker.start()
-    port = wait_for_listener(capsys)
-    codes["attest"] = cli.main([
-        "attest", "--profile", str(tmp_path / "alpha.json"),
-        "--trust", str(tmp_path / "alpha.trust"),
-        "--addr", f"127.0.0.1:{port}", "--timeout", "5.0",
-    ])
-    worker.join()
+    codes = serve_and_attest(tmp_path, capsys, timeout="5.0")
     elapsed = time.perf_counter() - start
 
     assert codes == {"serve": 0, "attest": 0}
@@ -185,24 +151,8 @@ def test_c7_secrecy_hygiene(tmp_path, rng, capsys):
     snapshots and reprs. The device profile file is excluded by design: it is
     the key file the offline phase produces (the seed has to live somewhere).
     """
-    provision_cli_pair(tmp_path, rng, capsys, attested_bytes=8 * 1024)
-
-    def serve():
-        cli.main([
-            "serve", "--profile", str(tmp_path / "beta.json"),
-            "--trust", str(tmp_path / "beta.trust"),
-            "--addr", "127.0.0.1:0", "--once", "--timeout", "5.0",
-        ])
-
-    worker = threading.Thread(target=serve)
-    worker.start()
-    port = wait_for_listener(capsys)
-    cli.main([
-        "attest", "--profile", str(tmp_path / "alpha.json"),
-        "--trust", str(tmp_path / "alpha.trust"),
-        "--addr", f"127.0.0.1:{port}", "--timeout", "5.0",
-    ])
-    worker.join()
+    provision_cli_pair(tmp_path, rng, capsys, attested_bytes=8 * 1024, seeds=("ac", "bd"))
+    assert serve_and_attest(tmp_path, capsys, timeout="5.0") == {"serve": 0, "attest": 0}
     cli.main([
         "measure", "--profile", str(tmp_path / "alpha.json"),
         "--trust", str(tmp_path / "alpha.trust"),
@@ -217,17 +167,10 @@ def test_c7_secrecy_hygiene(tmp_path, rng, capsys):
         frames.append(data)
         return (data,)
 
-    ep_a, ep_b = transport.channel_pair()
-    ep_a.add_send_hook(tap)
-    ep_b.add_send_hook(tap)
-    out = {}
-    responder = threading.Thread(target=lambda: out.update(b=run_responder(dev_b, ep_b, "alpha")))
-    responder.start()
-    out["a"] = run_initiator(dev_a, ep_a, "beta")
-    responder.join()
-    assert out["a"].established and out["b"].established
+    res_a, res_b = run_pair(dev_a, dev_b, a_hooks=[tap], b_hooks=[tap])
+    assert res_a.established and res_b.established
 
-    session_key = out["a"].session_key
+    session_key = res_a.session_key
     needles: list[bytes] = [session_key, session_key.hex().encode()]
     for profile_path in (tmp_path / "alpha.json", tmp_path / "beta.json"):
         seed = load_profile(profile_path).qsk_seed
@@ -238,9 +181,9 @@ def test_c7_secrecy_hygiene(tmp_path, rng, capsys):
         (tmp_path / "alpha.trust").read_bytes(),
         (tmp_path / "beta.trust").read_bytes(),
         b"".join(frames),
-        str(out["a"].state.snapshot()).encode(),
-        str(out["b"].state.snapshot()).encode(),
-        repr(out["a"].state).encode(), repr(dev_a).encode(), repr(dev_b).encode(),
+        str(res_a.state.snapshot()).encode(),
+        str(res_b.state.snapshot()).encode(),
+        repr(res_a.state).encode(), repr(dev_a).encode(), repr(dev_b).encode(),
         repr(dev_a.identity).encode(),
     ]
     for needle in needles:

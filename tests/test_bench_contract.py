@@ -1,6 +1,10 @@
 """The traced benchmark (perfbench/run.py --trace 1) patches lrav names from
 outside the package and fails when a per-layer span records nothing. These
-tests keep refactors from breaking it silently."""
+tests keep refactors from breaking it silently.
+
+The handshake below drives both roles itself rather than through
+runner.run_pair: each role must run inside a tracer session opened on its
+own thread, as perfbench/run.py does."""
 
 import importlib.util
 import random

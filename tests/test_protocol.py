@@ -33,7 +33,7 @@ from lrav.protocol import (
     respond_m1,
     transcript_hash,
 )
-from lrav.provisioning import provision_pair
+from lrav.provisioning import TrustStore, provision_pair
 from lrav.runner import run_pair
 
 # sha3_256 over 244 zero bytes, computed once with hashlib and frozen
@@ -55,7 +55,8 @@ GOLDEN_TRANSCRIPT = "598369bc511380b2d51fb05f7963cb62c43b9d2fc702a8fa3fbad3a9fb6
 
 def test_golden_wire_transcript(monkeypatch):
     draws = random.Random(0x601D)  # A draws before M1 is sent, B after it arrives
-    monkeypatch.setattr(lrav.protocol, "secrets", types.SimpleNamespace(token_bytes=draws.randbytes))
+    secrets = types.SimpleNamespace(token_bytes=draws.randbytes)
+    monkeypatch.setattr(lrav.protocol, "secrets", secrets)
     monkeypatch.setattr(
         lrav.protocol.X25519PrivateKey, "generate",
         lambda: lrav.protocol.X25519PrivateKey.from_private_bytes(draws.randbytes(32)),
@@ -175,6 +176,14 @@ class TestRespondM1:
         _, m1 = initiate(dev_a, "beta")
         st_b, _ = respond_m1(dev_b, m1)  # no peer_id needed
         assert st_b.peer_id == "alpha"
+
+    def test_two_provisioned_peers_need_a_named_peer(self, device_pair):
+        dev_a, dev_b = device_pair
+        alpha = dev_b.trust.get("alpha")
+        dev_b.trust = TrustStore({"alpha": alpha, "gamma": alpha})
+        _, m1 = initiate(dev_a, "beta")
+        with pytest.raises(UnknownPeer):
+            respond_m1(dev_b, m1, None)
 
 
 class TestProcessM2Aborts:

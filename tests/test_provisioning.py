@@ -1,7 +1,7 @@
 import pytest
 
 from lrav.crtm import AttestationConfig
-from lrav.errors import AccessFault, DuplicatePeer, InsufficientEntropy, ParseError
+from lrav.errors import AccessFault, DuplicatePeer, InsufficientEntropy, ParseError, UnknownPeer
 from lrav.provisioning import (
     FLASH_BASE,
     DeviceProfile,
@@ -90,6 +90,14 @@ def sample_store(rng) -> TrustStore:
 
 
 class TestTrustStoreFormat:
+    def test_sole_peer_only_in_a_one_peer_store(self, rng):
+        store = sample_store(rng)
+        with pytest.raises(UnknownPeer, match="2 peers are provisioned"):
+            store.sole_peer()
+        with pytest.raises(UnknownPeer, match="0 peers are provisioned"):
+            TrustStore({}).sole_peer()
+        assert TrustStore({"beta": store.get("beta")}).sole_peer() == "beta"
+
     def test_roundtrip(self, rng, tmp_path):
         store = sample_store(rng)
         path = tmp_path / "trust.store"

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import re
 import socket
@@ -16,28 +17,14 @@ import lrav
 from lrav import cli, transport
 from lrav.errors import ChannelClosed, ProtocolStateError
 from lrav.protocol import AbortReason, WireM1, WireM2, process_m2, produce_own_quote
-from lrav.runner import SessionResult, key_fingerprint, run_initiator, run_responder
+from lrav.runner import SessionResult, key_fingerprint, run_pair, run_responder
 
-from conftest import make_pair, wait_for_listener
-
-
-def run_both(dev_a, dev_b, timeout=0.5, a_hooks=(), b_hooks=()):
-    ep_a, ep_b = transport.channel_pair()
-    for hook in a_hooks:
-        ep_a.add_send_hook(hook)
-    for hook in b_hooks:
-        ep_b.add_send_hook(hook)
-    out = {}
-    worker = threading.Thread(target=lambda: out.update(b=run_responder(dev_b, ep_b, "alpha", timeout=timeout)))
-    worker.start()
-    out["a"] = run_initiator(dev_a, ep_a, "beta", timeout=timeout)
-    worker.join()
-    return out["a"], out["b"], (ep_a, ep_b)
+from conftest import make_pair, provision_cli_pair, serve_and_attest
 
 
 class TestRunner:
     def test_honest_run_over_memory_channel(self, device_pair):
-        res_a, res_b, _ = run_both(*device_pair)
+        res_a, res_b = run_pair(*device_pair)
         assert res_a.established and res_b.established
         assert res_a.session_key == res_b.session_key
         assert key_fingerprint(res_a.session_key) == key_fingerprint(res_b.session_key)
@@ -52,25 +39,30 @@ class TestRunner:
         addr = dev_b.attest_config.start_addr
         byte = mem_access(dev_b, Access.READ, addr, length=1)
         mem_access(dev_b, Access.WRITE, addr, data=bytes([byte[0] ^ 1]))
-        res_a, res_b, _ = run_both(dev_a, dev_b)
+        res_a, res_b = run_pair(dev_a, dev_b)
         assert not res_a.established and res_a.reason is AbortReason.MEASUREMENT_MISMATCH
         assert not res_b.established and res_b.peer_reported
         assert res_b.reason is AbortReason.MEASUREMENT_MISMATCH
 
     def test_duplicated_m2_rejected_by_state_machine(self, device_pair):
         dev_a, dev_b = device_pair
-        duplicate = lambda data: (data, data)
-        res_a, res_b, (ep_a, _) = run_both(dev_a, dev_b, b_hooks=[duplicate])
+        sent_by_b = []
+
+        def duplicate(data):
+            sent_by_b.append(data)
+            return (data, data)
+
+        res_a, res_b = run_pair(dev_a, dev_b, b_hooks=[duplicate])
         assert res_a.established and res_b.established
-        leftover = ep_a.recv_frame(timeout=0.5)  # the duplicate M2 copy
-        assert leftover.msg_type == transport.MSG_M2
+        stale, _ = transport.decode_frame(sent_by_b[0])  # the M2 A just consumed
+        assert stale.msg_type == transport.MSG_M2
         with pytest.raises(ProtocolStateError):
-            process_m2(dev_a, res_a.state, WireM2.unpack(leftover.payload), produce_own_quote(dev_a))
+            process_m2(dev_a, res_a.state, WireM2.unpack(stale.payload), produce_own_quote(dev_a))
         assert res_a.state.phase.value == "established"
 
     def test_timeout_on_silent_responder(self, device_pair):
         dev_a, dev_b = device_pair
-        res_a, _res_b, _ = run_both(dev_a, dev_b, b_hooks=[lambda data: ()])
+        res_a, _ = run_pair(dev_a, dev_b, b_hooks=[lambda data: ()], timeout=0.5)
         assert res_a.timed_out and not res_a.established
 
     def test_stray_m1_mid_session_aborts_malformed(self, device_pair):
@@ -87,7 +79,7 @@ class TestRunner:
                 return (transport.encode_frame(transport.MSG_M1, stray.pack()),)
             return (data,)
 
-        res_a, _res_b, _ = run_both(dev_a, dev_b, b_hooks=[replace_m2_with_m1])
+        res_a, _ = run_pair(dev_a, dev_b, b_hooks=[replace_m2_with_m1])
         assert not res_a.established
         assert res_a.reason is AbortReason.MALFORMED
 
@@ -126,7 +118,7 @@ class TestMeasurementOrder:
             events.append(f"sent {transport.decode_frame(data)[0].msg_type:#04x}")
             return (data,)
 
-        res_a, res_b, _ = run_both(dev_a, dev_b, a_hooks=[sent])
+        res_a, res_b = run_pair(dev_a, dev_b, a_hooks=[sent])
         assert res_a.established and res_b.established
         assert events == ["sent 0x01", "measure", "process_m2", "sent 0x03"]
 
@@ -140,7 +132,7 @@ class TestMeasurementOrder:
                 return (data,)
             return (data[:-1] + bytes([data[-1] ^ 0x01]),)  # last box byte
 
-        res_a, _res_b, _ = run_both(dev_a, dev_b, b_hooks=[flip_m2_box])
+        res_a, _ = run_pair(dev_a, dev_b, b_hooks=[flip_m2_box])
         assert not res_a.established and res_a.reason is AbortReason.BAD_TAG
         assert events == ["measure"]
 
@@ -169,77 +161,17 @@ def test_failed_m2_send_ends_only_that_session(device_pair, capsys):
     assert capsys.readouterr().err.startswith("attestation failed: failed (")
 
 
-@pytest.fixture
-def provisioned(tmp_path, rng):
-    """Two provisioned devices on disk: profiles, firmware, trust stores."""
-    paths = {}
-    for name, seed in (("alpha", "aa"), ("beta", "bb")):
-        fw = tmp_path / f"{name}.fw"
-        fw.write_bytes(rng.randbytes(8 * 1024))
-        record = tmp_path / f"{name}.record"
-        code = cli.main([
-            "provision", "--image", str(fw), "--id", name,
-            "--profile", str(tmp_path / f"{name}.json"), "--seed", seed * 32,
-        ])
-        assert code == 0
-        paths[name] = tmp_path / f"{name}.json"
-    return paths, tmp_path
-
-
-def _write_records(tmp_path, capsys_text_by_name):
-    (tmp_path / "alpha.trust").write_text(capsys_text_by_name["beta"])
-    (tmp_path / "beta.trust").write_text(capsys_text_by_name["alpha"])
-
-
-def free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+@contextlib.contextmanager
+def refused_port():
+    """A loopback port held bound but never listening, so every connect is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        yield sock.getsockname()[1]
 
 
 class TestCli:
-    def provision_pair(self, tmp_path, rng, capsys, tamper_beta=False):
-        records = {}
-        for name, seed in (("alpha", "aa"), ("beta", "bb")):
-            fw = tmp_path / f"{name}.fw"
-            fw.write_bytes(rng.randbytes(8 * 1024))
-            assert cli.main([
-                "provision", "--image", str(fw), "--id", name,
-                "--profile", str(tmp_path / f"{name}.json"), "--seed", seed * 32,
-            ]) == 0
-            records[name] = capsys.readouterr().out
-        if tamper_beta:
-            fw = tmp_path / "beta.fw"
-            data = bytearray(fw.read_bytes())
-            data[100] ^= 0x01
-            fw.write_bytes(data)
-        (tmp_path / "alpha.trust").write_text(records["beta"])
-        (tmp_path / "beta.trust").write_text(records["alpha"])
-        return tmp_path
-
-    def serve_and_attest(self, tmp_path, capsys, timeout="2.0"):
-        codes = {}
-
-        def serve():
-            codes["serve"] = cli.main([
-                "serve", "--profile", str(tmp_path / "beta.json"),
-                "--trust", str(tmp_path / "beta.trust"),
-                "--addr", "127.0.0.1:0", "--once", "--timeout", timeout,
-            ])
-
-        worker = threading.Thread(target=serve)
-        worker.start()
-        port = wait_for_listener(capsys)
-        codes["attest"] = cli.main([
-            "attest", "--profile", str(tmp_path / "alpha.json"),
-            "--trust", str(tmp_path / "alpha.trust"),
-            "--addr", f"127.0.0.1:{port}", "--timeout", timeout,
-        ])
-        worker.join()
-        return codes, capsys.readouterr()
-
     def test_serve_survives_peers_that_reset_after_m1(self, tmp_path, rng, capsys):
-        self.provision_pair(tmp_path, rng, capsys)
+        provision_cli_pair(tmp_path, rng, capsys)
         src = Path(lrav.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -284,7 +216,7 @@ class TestCli:
         ]) == 2
 
     def test_measure_prints_expected_digest(self, tmp_path, rng, capsys):
-        self.provision_pair(tmp_path, rng, capsys)
+        provision_cli_pair(tmp_path, rng, capsys)
         assert cli.main([
             "measure", "--profile", str(tmp_path / "alpha.json"),
             "--trust", str(tmp_path / "alpha.trust"),
@@ -294,29 +226,43 @@ class TestCli:
         assert digest in record
 
     def test_serve_attest_loopback(self, tmp_path, rng, capsys):
-        self.provision_pair(tmp_path, rng, capsys)
-        codes, captured = self.serve_and_attest(tmp_path, capsys)
-        assert codes == {"serve": 0, "attest": 0}
+        provision_cli_pair(tmp_path, rng, capsys)
+        assert serve_and_attest(tmp_path, capsys) == {"serve": 0, "attest": 0}
         fingerprints = {
             line.split("key-fp=")[1]
-            for line in captured.out.splitlines()
+            for line in capsys.readouterr().out.splitlines()
             if "key-fp=" in line
         }
         assert len(fingerprints) == 1  # both sides printed the same fingerprint
 
     def test_attest_against_tampered_responder_exits_1(self, tmp_path, rng, capsys):
-        self.provision_pair(tmp_path, rng, capsys, tamper_beta=True)
-        codes, captured = self.serve_and_attest(tmp_path, capsys)
-        assert codes["attest"] == 1
-        assert "MEASUREMENT_MISMATCH" in captured.err
+        provision_cli_pair(tmp_path, rng, capsys)
+        fw = tmp_path / "beta.fw"
+        data = bytearray(fw.read_bytes())
+        data[100] ^= 0x01
+        fw.write_bytes(data)
+        assert serve_and_attest(tmp_path, capsys)["attest"] == 1
+        assert "MEASUREMENT_MISMATCH" in capsys.readouterr().err
 
     def test_attest_with_no_responder_exits_3(self, tmp_path, rng, capsys):
-        self.provision_pair(tmp_path, rng, capsys)
-        assert cli.main([
-            "attest", "--profile", str(tmp_path / "alpha.json"),
-            "--trust", str(tmp_path / "alpha.trust"),
-            "--addr", f"127.0.0.1:{free_port()}", "--timeout", "0.3",
-        ]) == 3
+        provision_cli_pair(tmp_path, rng, capsys)
+        with refused_port() as port:
+            assert cli.main([
+                "attest", "--profile", str(tmp_path / "alpha.json"),
+                "--trust", str(tmp_path / "alpha.trust"),
+                "--addr", f"127.0.0.1:{port}", "--timeout", "0.3",
+            ]) == 3
+
+    def test_attest_without_peer_needs_a_sole_peer(self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        two = tmp_path / "two.trust"
+        two.write_text((tmp_path / "alpha.trust").read_text() + (tmp_path / "beta.trust").read_text())
+        with refused_port() as port:  # the usage error comes before any connect
+            assert cli.main([
+                "attest", "--profile", str(tmp_path / "alpha.json"), "--trust", str(two),
+                "--addr", f"127.0.0.1:{port}", "--timeout", "0.3",
+            ]) == 2
+        assert "2 peers are provisioned" in capsys.readouterr().err
 
     def test_attack_subcommand_single_scenario(self, capsys):
         assert cli.main(["attack", "--only", "qsk-read-attempt"]) == 0
