@@ -89,8 +89,8 @@ class TrustStore:
 
     def sole_peer(self) -> str:
         """The peer to assume when none is named: only a one-peer store has one."""
-        if len(self._entries) != 1:
-            n = len(self._entries)
+        n = len(self._entries)
+        if n != 1:
             raise UnknownPeer(f"a peer must be named: {n} peers are provisioned, not exactly one")
         return next(iter(self._entries))
 
@@ -326,8 +326,9 @@ def provision_pair(
 ) -> tuple[DeviceState, DeviceState]:
     """Devices "alpha" and "beta" with fixed identities, each trusting the other.
 
-    Each attests its own firmware image, mapped at the flash base. Shared by
-    the benchmarks, the adversary catalog and the tests.
+    Each attests its own firmware image, mapped at the flash base. Used by
+    `bench.protocol_bench`, the adversary catalog and the test fixtures;
+    perfbench provisions through `lrav provision` instead.
     """
     def attest(fw: bytes) -> crtm.AttestationConfig:
         return crtm.AttestationConfig(FLASH_BASE, FLASH_BASE + len(fw), block)

@@ -54,7 +54,7 @@ class TestRunner:
 
         res_a, res_b = run_pair(dev_a, dev_b, b_hooks=[duplicate])
         assert res_a.established and res_b.established
-        stale, _ = transport.decode_frame(sent_by_b[0])  # the M2 A just consumed
+        stale, _ = transport.decode_frame(sent_by_b[0])  # a copy of the M2 A already took
         assert stale.msg_type == transport.MSG_M2
         with pytest.raises(ProtocolStateError):
             process_m2(dev_a, res_a.state, WireM2.unpack(stale.payload), produce_own_quote(dev_a))
