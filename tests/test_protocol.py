@@ -48,8 +48,8 @@ def honest_run(dev_a, dev_b):
     return st_a, st_b, (m1, m2, m3)
 
 
-# SHA-256 of the three frames of one seeded handshake, recorded before the
-# protocol helpers were merged; any change to the wire bytes changes it
+# SHA-256 of the three frames of one seeded handshake; any change to the
+# wire bytes changes it
 GOLDEN_TRANSCRIPT = "598369bc511380b2d51fb05f7963cb62c43b9d2fc702a8fa3fbad3a9fb6c032b"
 
 
