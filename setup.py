@@ -1,8 +1,11 @@
-"""Build hook for the optional C measurement-chain accelerator.
+"""Build hook for the optional C accelerator (chained SHA3 and XSalsa20).
 
-The package is fully functional without the extension (lrav.crtm falls back
-to hashlib); the extension exists because per-object hash overhead in Python
-distorts the block-size scaling behaviour the benchmarks assert.
+The package is fully functional without the extension: lrav.crtm falls back
+to hashlib and lrav.secretbox to a pure-Python XSalsa20, and an uninstalled
+checkout compiles the same source on first import (lrav._native). The
+extension exists because per-object hash overhead in Python distorts the
+block-size scaling the benchmarks assert, and the pure-Python stream
+dominates a handshake.
 """
 
 from setuptools import Extension, setup

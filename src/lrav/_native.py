@@ -1,0 +1,67 @@
+"""The one C accelerator, ``lrav._chainhash``, built on first import if needed.
+
+A setup.py build is used when present. Otherwise the C source is compiled
+once into the package's ``__pycache__``, named by the source hash and the
+interpreter's extension suffix, so a later import only hashes the source. The
+compiler writes a temporary file that is renamed into place, so concurrent
+first imports are safe. Without a compiler, the Python headers or libcrypto,
+EXT is None and callers take their pure-Python paths (same bytes, slower).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.machinery
+import importlib.util
+import os
+import tempfile
+from pathlib import Path
+
+_SRC = Path(__file__).with_name("_chainhash.c")
+_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
+
+
+def _build(path: Path) -> None:
+    """Compile into a temporary file beside `path`, then rename it to `path`."""
+    import shlex, subprocess, sysconfig  # noqa: E401 -- only a cache miss compiles
+
+    cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    if not cmd:
+        raise OSError("no C compiler configured for this interpreter")
+    cmd += shlex.split(sysconfig.get_config_var("CCSHARED") or "")
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        cmd += ["-O2", "-I" + sysconfig.get_paths()["include"], str(_SRC), "-o", tmp, "-lcrypto"]
+        subprocess.run(cmd, check=True, capture_output=True, timeout=300)
+        os.replace(tmp, path)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cannot compile {_SRC.name}: {exc}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _load():
+    """The accelerator module, or None; a stale setup.py build is rebuilt."""
+    with contextlib.suppress(ImportError):
+        from . import _chainhash
+
+        if all(hasattr(_chainhash, n) for n in ("chained_sha3_256", "hsalsa20", "xsalsa20_xor")):
+            return _chainhash
+    try:
+        key = hashlib.sha256(_SRC.read_bytes()).hexdigest()[:16]
+        path = _SRC.parent / "__pycache__" / f"_chainhash.{key}{_SUFFIX}"
+        if not path.exists():
+            _build(path)
+        spec = importlib.util.spec_from_file_location(f"{__package__}._chainhash", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (OSError, ImportError):  # no compiler, Python headers or libcrypto
+        return None
+    return module
+
+
+EXT = _load()

@@ -120,15 +120,14 @@ def cmd_provision(args) -> int:
         layout=MemoryLayout(),
         firmware=str(image_path.resolve()),
     )
-    profile_path = Path(args.profile or f"{args.id}.profile.json")
-    save_profile(profile_path, profile)
-    _eprint(f"wrote device profile (contains the secret signing seed): {profile_path}")
-
     image = MemoryImage([
         Region(profile.layout.flash_base, RegionKind.FLASH,
                bytearray(firmware) + bytearray(profile.layout.flash_size - len(firmware))),
     ])
-    expected = compute_expected(image, attest)
+    expected = compute_expected(image, attest)  # before the secret seed reaches disk
+    profile_path = Path(args.profile or f"{args.id}.profile.json")
+    save_profile(profile_path, profile)
+    _eprint(f"wrote device profile (contains the secret signing seed): {profile_path}")
     # The record below is public: paste it into the opposing device's store.
     print(format_trust_record(args.id, key.public, [expected]), end="", flush=True)
     return EXIT_OK
@@ -159,6 +158,7 @@ def cmd_attest(args) -> int:
 
 def cmd_serve(args) -> int:
     dev = _load_device(args)
+    peer = args.peer or dev.trust.sole_peer()
     host, port = _parse_addr(args.addr)
     listener = transport.TcpListener(host, port)
     bound = listener.address
@@ -166,7 +166,7 @@ def cmd_serve(args) -> int:
 
     def handle(ep) -> int:
         try:
-            result = run_responder(dev, ep, args.peer, timeout=args.timeout)
+            result = run_responder(dev, ep, peer, timeout=args.timeout)
         finally:
             ep.close()
         return _report(result, dev.device_id)

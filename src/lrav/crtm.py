@@ -17,13 +17,12 @@ import hmac
 import struct
 from dataclasses import dataclass
 
+from ._native import EXT
 from .errors import InvalidRange, OutOfRange
 from .memory import MemoryImage
 
-try:
-    from ._chainhash import chained_sha3_256 as _chained_sha3_256
-except ImportError:  # pure-Python fallback; same digests, more per-block overhead
-    _chained_sha3_256 = None
+# None selects the pure-Python fallback: same digests, more per-block overhead
+_chained_sha3_256 = getattr(EXT, "chained_sha3_256", None)
 
 DIGEST_BYTES = 32
 
@@ -49,10 +48,6 @@ class AttestationConfig:
             )
         if self.block_size < 1:
             raise InvalidRange(f"block size must be >= 1: {self.block_size}")
-
-    @property
-    def length(self) -> int:
-        return self.end_addr - self.start_addr
 
 
 @dataclass(frozen=True)

@@ -91,13 +91,7 @@ def mem_access(
 
 def rom_boot(dev: DeviceState) -> None:
     """Start-up ROM: claim the QSK window with a locked execute-only entry."""
-    config = pmp.PmpConfig(
-        read=False,
-        write=False,
-        execute=True,
-        addr_mode=pmp.AddrMode.NAPOT,
-        lock=True,
-    )
+    config = pmp.PmpConfig(execute=True, addr_mode=pmp.AddrMode.NAPOT, lock=True)
     addr_reg = pmp.napot_addr_reg(dev.qsk_base, QSK_REGION_SIZE)
     pmp.configure(dev.bank, QSK_PMP_INDEX, config, addr_reg)
     dev.boot_complete = True

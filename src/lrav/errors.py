@@ -103,7 +103,6 @@ class WeakPoint(LravError):
     """Key agreement produced (or would produce) an all-zero shared secret."""
 
 
-
 class MalformedMessage(LravError):
     """Wire message failed structural validation."""
 

@@ -65,11 +65,7 @@ class PmpConfig:
         )
 
     def allows(self, access: Access) -> bool:
-        if access is Access.READ:
-            return self.read
-        if access is Access.WRITE:
-            return self.write
-        return self.execute
+        return {Access.READ: self.read, Access.WRITE: self.write, Access.EXECUTE: self.execute}[access]
 
 
 @dataclass
@@ -77,20 +73,16 @@ class PmpEntry:
     config: PmpConfig
     addr_reg: int  # physical address >> 2
 
-    @classmethod
-    def cleared(cls) -> "PmpEntry":
-        return cls(PmpConfig(), 0)
-
 
 class PmpBank:
     """Fixed bank of 8 PMP entries with lock-until-reset write semantics."""
 
     def __init__(self):
-        self.entries = [PmpEntry.cleared() for _ in range(PMP_ENTRIES)]
+        self.clear()
 
     def clear(self) -> None:
         """Reset-time release: drops every entry, including locked ones."""
-        self.entries = [PmpEntry.cleared() for _ in range(PMP_ENTRIES)]
+        self.entries = [PmpEntry(PmpConfig(), 0) for _ in range(PMP_ENTRIES)]
 
 
 def configure(bank: PmpBank, index: int, config: PmpConfig, addr_reg: int) -> PmpBank:
@@ -138,11 +130,7 @@ def match_range(bank: PmpBank, index: int) -> tuple[int, int] | None:
         if top <= lo:
             return None
         return (lo, top - 1)
-    # NAPOT: count trailing ones
-    if a == _WORD_MASK:
-        k = 32
-    else:
-        k = (((a ^ _WORD_MASK) & (a + 1))).bit_length() - 1
+    k = (~a & (a + 1)).bit_length() - 1  # NAPOT: trailing ones (32 for all-ones)
     base = (a & ~((1 << (k + 1)) - 1) & _WORD_MASK) << 2
     size = 1 << (k + 3)
     return (base, base + size - 1)

@@ -12,10 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from . import device, pmp
 from .crtm import MEASUREMENT_BYTES, Measurement, measurement_equals
@@ -34,11 +31,7 @@ class QuoteSigningKey:
         if len(seed) != SEED_BYTES:
             raise ValueError("signing seed must be 32 bytes")
         self._seed = bytes(seed)
-        self.public = (
-            Ed25519PrivateKey.from_private_bytes(self._seed)
-            .public_key()
-            .public_bytes_raw()
-        )
+        self.public = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
 
     def rom_bytes(self) -> bytes:
         """Mask-ROM contents of the key window: seed || verification key."""
@@ -46,11 +39,6 @@ class QuoteSigningKey:
 
     def __repr__(self):
         return f"QuoteSigningKey(public={self.public.hex()})"
-
-
-def canonical_quote_bytes(measurement: Measurement) -> bytes:
-    """The exact byte string a quote signature covers (52 bytes)."""
-    return measurement.pack()
 
 
 @dataclass(frozen=True)
@@ -63,7 +51,7 @@ class Quote:
             raise ValueError(f"signature must be {SIGNATURE_BYTES} bytes")
 
     def to_wire(self) -> bytes:
-        return canonical_quote_bytes(self.measurement) + self.signature
+        return self.measurement.pack() + self.signature
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Quote":
@@ -112,7 +100,7 @@ def _gated_sign(dev: DeviceState, message: bytes) -> bytes:
 
 def sign_quote_gated(dev: DeviceState, measurement: Measurement) -> Quote:
     """Sign a measurement inside the X-only gate; deterministic per input."""
-    return Quote(measurement, _gated_sign(dev, canonical_quote_bytes(measurement)))
+    return Quote(measurement, _gated_sign(dev, measurement.pack()))
 
 
 def sign_transcript_gated(dev: DeviceState, digest: bytes) -> bytes:
@@ -135,7 +123,7 @@ def verify_quote(verify_key: bytes, quote: Quote, expected: Measurement) -> Quot
     """
     try:
         pub = Ed25519PublicKey.from_public_bytes(verify_key)
-        pub.verify(quote.signature, canonical_quote_bytes(quote.measurement))
+        pub.verify(quote.signature, quote.measurement.pack())
     except (InvalidSignature, ValueError):
         return QuoteVerdict.BAD_SIGNATURE
     if not measurement_equals(quote.measurement, expected):
@@ -155,6 +143,4 @@ def stage_outgoing_quote(dev: DeviceState, wire: bytes) -> bytes:
     device.mem_access(dev, pmp.Access.WRITE, dev.staging_addr, data=wire)
     if dev.quote_staging_hook is not None:
         dev.quote_staging_hook(dev)
-    staged = device.mem_access(dev, pmp.Access.READ, dev.staging_addr, length=QUOTE_WIRE_BYTES)
-    assert staged is not None
-    return staged
+    return device.mem_access(dev, pmp.Access.READ, dev.staging_addr, length=QUOTE_WIRE_BYTES)

@@ -1,10 +1,11 @@
 """XSalsa20-Poly1305 secretbox (NaCl construction).
 
 No maintained Python binding for this construction was available, so the
-XSalsa20 stream is implemented here from the Salsa20 family definition;
-Poly1305 comes from the cryptography package. Box layout follows NaCl:
-16-byte tag, then the ciphertext. The one-time Poly1305 key is the first
-32 bytes of keystream; the message is encrypted with the remainder.
+XSalsa20 stream comes from lrav's C accelerator (``lrav._native``), written
+from the Salsa20 family definition, with a pure-Python twin below as the
+fallback; Poly1305 comes from the cryptography package. Box layout follows
+NaCl: 16-byte tag, then the ciphertext. The one-time Poly1305 key is the
+first 32 bytes of keystream; the message is encrypted with the remainder.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import struct
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.poly1305 import Poly1305
 
+from ._native import EXT
 from .errors import AuthenticationFailed
 
 KEY_BYTES = 32
@@ -23,100 +25,73 @@ TAG_BYTES = 16
 _MASK = 0xFFFF_FFFF
 # "expand 32-byte k"
 _SIGMA = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
+_POLY_KEY_PAD = bytes(32)
+# One double round: the column round, then the row round. Each (a, b, c, d)
+# names the state words that play y0..y3 in one quarterround.
+_QUARTERS = (
+    (0, 4, 8, 12), (5, 9, 13, 1), (10, 14, 2, 6), (15, 3, 7, 11),
+    (0, 1, 2, 3), (5, 6, 7, 4), (10, 11, 8, 9), (15, 12, 13, 14),
+)
 
 
-def _rotl(x: int, n: int) -> int:
-    return ((x << n) | (x >> (32 - n))) & _MASK
-
-
-def _quarterround(y0: int, y1: int, y2: int, y3: int):
-    y1 ^= _rotl((y0 + y3) & _MASK, 7)
-    y2 ^= _rotl((y1 + y0) & _MASK, 9)
-    y3 ^= _rotl((y2 + y1) & _MASK, 13)
-    y0 ^= _rotl((y3 + y2) & _MASK, 18)
-    return y0, y1, y2, y3
-
-
-def _rowround(y):
-    z = list(y)
-    z[0], z[1], z[2], z[3] = _quarterround(y[0], y[1], y[2], y[3])
-    z[5], z[6], z[7], z[4] = _quarterround(y[5], y[6], y[7], y[4])
-    z[10], z[11], z[8], z[9] = _quarterround(y[10], y[11], y[8], y[9])
-    z[15], z[12], z[13], z[14] = _quarterround(y[15], y[12], y[13], y[14])
-    return z
-
-
-def _columnround(x):
-    y = list(x)
-    y[0], y[4], y[8], y[12] = _quarterround(x[0], x[4], x[8], x[12])
-    y[5], y[9], y[13], y[1] = _quarterround(x[5], x[9], x[13], x[1])
-    y[10], y[14], y[2], y[6] = _quarterround(x[10], x[14], x[2], x[6])
-    y[15], y[3], y[7], y[11] = _quarterround(x[15], x[3], x[7], x[11])
-    return y
-
-
-def _doubleround(x):
-    return _rowround(_columnround(x))
+def _rounds(state):
+    """Ten Salsa20 double rounds, without the feed-forward addition."""
+    x = list(state)
+    for _ in range(10):
+        for a, b, c, d in _QUARTERS:
+            t = (x[a] + x[d]) & _MASK
+            x[b] ^= ((t << 7) | (t >> 25)) & _MASK
+            t = (x[b] + x[a]) & _MASK
+            x[c] ^= ((t << 9) | (t >> 23)) & _MASK
+            t = (x[c] + x[b]) & _MASK
+            x[d] ^= ((t << 13) | (t >> 19)) & _MASK
+            t = (x[d] + x[c]) & _MASK
+            x[a] ^= ((t << 18) | (t >> 14)) & _MASK
+    return x
 
 
 def _expansion(key_words, input_words):
+    """Constants on the diagonal, key words at 1-4 and 11-14, input at 6-9."""
     k, n = key_words, input_words
-    return [
-        _SIGMA[0], k[0], k[1], k[2],
-        k[3], _SIGMA[1], n[0], n[1],
-        n[2], n[3], _SIGMA[2], k[4],
-        k[5], k[6], k[7], _SIGMA[3],
-    ]
+    return [_SIGMA[0], *k[:4], _SIGMA[1], *n, _SIGMA[2], *k[4:], _SIGMA[3]]
 
 
-def _core_block(state):
-    """Salsa20 core: 10 double-rounds plus the feed-forward addition."""
-    z = state
-    for _ in range(10):
-        z = _doubleround(z)
-    return bytes(
-        b
-        for zi, xi in zip(z, state)
-        for b in struct.pack("<I", (zi + xi) & _MASK)
-    )
+def _core_block(state) -> bytes:
+    """Salsa20 core: the rounds plus the feed-forward addition."""
+    return struct.pack("<16I", *((z + x) & _MASK for z, x in zip(_rounds(state), state)))
 
 
-def hsalsa20(key: bytes, input16: bytes) -> bytes:
+def _py_hsalsa20(key: bytes, input16: bytes) -> bytes:
     """HSalsa20 subkey derivation: diagonal/input words, no feed-forward."""
     if len(key) != KEY_BYTES or len(input16) != 16:
         raise ValueError("hsalsa20 needs a 32-byte key and 16-byte input")
-    state = _expansion(struct.unpack("<8I", key), struct.unpack("<4I", input16))
-    z = state
-    for _ in range(10):
-        z = _doubleround(z)
-    picked = (z[0], z[5], z[10], z[15], z[6], z[7], z[8], z[9])
-    return struct.pack("<8I", *picked)
+    z = _rounds(_expansion(struct.unpack("<8I", key), struct.unpack("<4I", input16)))
+    return struct.pack("<8I", z[0], z[5], z[10], z[15], z[6], z[7], z[8], z[9])
 
 
-def _xsalsa20_stream(key: bytes, nonce: bytes, length: int) -> bytes:
-    if len(key) != KEY_BYTES:
-        raise ValueError("key must be 32 bytes")
+def _py_xsalsa20_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """data XOR the XSalsa20 keystream (64-bit block counter from 0)."""
     if len(nonce) != NONCE_BYTES:
         raise ValueError("nonce must be 24 bytes")
-    subkey = struct.unpack("<8I", hsalsa20(key, nonce[:16]))
-    n0, n1 = struct.unpack("<2I", nonce[16:24])
-    blocks = []
-    counter = 0
-    while len(blocks) * 64 < length:
-        c0 = counter & _MASK
-        c1 = (counter >> 32) & _MASK
-        blocks.append(_core_block(_expansion(subkey, (n0, n1, c0, c1))))
-        counter += 1
-    return b"".join(blocks)[:length]
+    subkey = struct.unpack("<8I", _py_hsalsa20(key, nonce[:16]))
+    n0, n1 = struct.unpack("<2I", nonce[16:])
+    n = len(data)
+    stream = b"".join(
+        _core_block(_expansion(subkey, (n0, n1, i & _MASK, i >> 32)))
+        for i in range((n + 63) // 64)
+    )
+    xored = int.from_bytes(data, "little") ^ int.from_bytes(stream[:n], "little")
+    return xored.to_bytes(n, "little")
+
+
+_xsalsa20_xor = EXT.xsalsa20_xor if EXT is not None else _py_xsalsa20_xor
 
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """Encrypt and authenticate; returns tag || ciphertext (+16 bytes)."""
-    stream = _xsalsa20_stream(key, nonce, 32 + len(plaintext))
-    poly_key, pad = stream[:32], stream[32:]
-    ciphertext = bytes(m ^ s for m, s in zip(plaintext, pad))
-    tag = Poly1305.generate_tag(poly_key, ciphertext)
-    return tag + ciphertext
+    out = _xsalsa20_xor(key, nonce, _POLY_KEY_PAD + plaintext)
+    ciphertext = out[32:]
+    return Poly1305.generate_tag(out[:32], ciphertext) + ciphertext
 
 
 def open_box(key: bytes, nonce: bytes, boxed: bytes) -> bytes:
@@ -124,10 +99,9 @@ def open_box(key: bytes, nonce: bytes, boxed: bytes) -> bytes:
     if len(boxed) < TAG_BYTES:
         raise AuthenticationFailed("box shorter than the authentication tag")
     tag, ciphertext = boxed[:TAG_BYTES], boxed[TAG_BYTES:]
-    stream = _xsalsa20_stream(key, nonce, 32 + len(ciphertext))
-    poly_key, pad = stream[:32], stream[32:]
+    out = _xsalsa20_xor(key, nonce, _POLY_KEY_PAD + ciphertext)
     try:
-        Poly1305.verify_tag(poly_key, ciphertext, tag)
+        Poly1305.verify_tag(out[:32], ciphertext, tag)
     except InvalidSignature as exc:
         raise AuthenticationFailed("authentication tag mismatch") from exc
-    return bytes(c ^ s for c, s in zip(ciphertext, pad))
+    return out[32:]

@@ -12,7 +12,6 @@ from lrav.quote import (
     Quote,
     QuoteSigningKey,
     QuoteVerdict,
-    canonical_quote_bytes,
     sign_quote_gated,
     sign_transcript_gated,
     stage_outgoing_quote,
@@ -135,9 +134,7 @@ class TestVerifyQuote:
             expected = quoted if i % 2 == 0 else Measurement(rng.randbytes(32), config)
             right_key = i % 3 != 0
             key = signer.public if right_key else QuoteSigningKey(rng.randbytes(32)).public
-            sig = Ed25519PrivateKey.from_private_bytes(seed_signer).sign(
-                canonical_quote_bytes(quoted)
-            )
+            sig = Ed25519PrivateKey.from_private_bytes(seed_signer).sign(quoted.pack())
             verdict = verify_quote(key, Quote(quoted, sig), expected)
             should_accept = right_key and quoted.digest == expected.digest
             assert (verdict is QuoteVerdict.ACCEPT) == should_accept

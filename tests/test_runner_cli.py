@@ -264,6 +264,31 @@ class TestCli:
             ]) == 2
         assert "2 peers are provisioned" in capsys.readouterr().err
 
+    def test_serve_without_peer_needs_a_sole_peer(self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        (tmp_path / "none.trust").write_text("")
+        two = tmp_path / "two.trust"
+        two.write_text((tmp_path / "alpha.trust").read_text() + (tmp_path / "beta.trust").read_text())
+        for store, count in ((tmp_path / "none.trust", 0), (two, 2)):
+            assert cli.main([
+                "serve", "--profile", str(tmp_path / "beta.json"), "--trust", str(store),
+                "--addr", "127.0.0.1:0", "--once", "--timeout", "0.3",
+            ]) == 2
+            captured = capsys.readouterr()
+            assert "listening on" not in captured.out  # refused before it binds
+            assert f"{count} peers are provisioned" in captured.err
+
+    def test_failed_provision_leaves_no_profile(self, tmp_path, rng, capsys):
+        fw = tmp_path / "fw.bin"
+        fw.write_bytes(rng.randbytes(4096))
+        profile = tmp_path / "dev.json"
+        assert cli.main([
+            "provision", "--image", str(fw), "--id", "dev", "--profile", str(profile),
+            "--start", "80000000", "--end", "80000100",  # outside flash
+        ]) == 2
+        assert "not mapped" in capsys.readouterr().err
+        assert not profile.exists()
+
     def test_attack_subcommand_single_scenario(self, capsys):
         assert cli.main(["attack", "--only", "qsk-read-attempt"]) == 0
         out = capsys.readouterr().out

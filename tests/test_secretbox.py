@@ -1,43 +1,82 @@
 import ctypes
+import hashlib
 import random
 import struct
 
 import pytest
 
+from lrav import _native, secretbox
 from lrav.errors import AuthenticationFailed
 from lrav.secretbox import (
-    _columnround,
     _core_block,
-    _doubleround,
     _expansion,
-    _rowround,
-    _xsalsa20_stream,
-    hsalsa20,
+    _py_hsalsa20,
+    _py_xsalsa20_xor,
+    _rounds,
     open_box,
     seal,
 )
 
+NATIVE = _native.EXT
+needs_native = pytest.mark.skipif(NATIVE is None, reason="C accelerator unavailable")
+# every implementation on this host: the pure-Python twin, then the native one
+XORS = [_py_xsalsa20_xor] + ([NATIVE.xsalsa20_xor] if NATIVE else [])
+HSALSAS = [_py_hsalsa20] + ([NATIVE.hsalsa20] if NATIVE else [])
 
-def transpose(state):
-    return [state[4 * c + r] for r in range(4) for c in range(4)]
+# "Cryptography in NaCl", section 10: HSalsa20 of the Curve25519 shared secret
+# gives firstkey, HSalsa20 of firstkey and the nonce's first 16 bytes secondkey.
+NACL_SHARED = bytes.fromhex("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742")
+NACL_FIRSTKEY = bytes.fromhex("1b27556473e985d462cd51197a9a46c76009549eac6474f206c4ee0844f68389")
+NACL_NONCE = bytes.fromhex("69696ee955b62b73cd62bda875fc73d68219e0036b7a0b37")
+NACL_SECONDKEY = bytes.fromhex("dc908dda0b9344a953629b733820778880f3ceb421bb61b91cbd4c3e66256ce4")
 
 
 class TestSalsaCore:
-    """Structural checks straight from the function family's definition."""
+    """Known answers from the Salsa20 and NaCl papers, and the expansion's layout."""
 
-    def test_columnround_is_transposed_rowround(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            state = [rng.getrandbits(32) for _ in range(16)]
-            assert _columnround(state) == transpose(_rowround(transpose(state)))
+    def test_core_matches_the_salsa20_spec_examples(self):
+        # Salsa20 specification, section 8: the Salsa20 hash of two 64-byte inputs
+        examples = [
+            (bytes([211, 159, 13, 115, 76, 55, 82, 183, 3, 117, 222, 37, 191, 187, 234, 136,
+                    49, 237, 179, 48, 1, 106, 178, 219, 175, 199, 166, 48, 86, 16, 179, 207,
+                    31, 240, 32, 63, 15, 83, 93, 161, 116, 147, 48, 113, 238, 55, 204, 36,
+                    79, 201, 235, 79, 3, 81, 156, 47, 203, 26, 244, 243, 88, 118, 104, 54]),
+             bytes([109, 42, 178, 168, 156, 240, 248, 238, 168, 196, 190, 203, 26, 110, 170, 154,
+                    29, 29, 150, 26, 150, 30, 235, 249, 190, 163, 251, 48, 69, 144, 51, 57,
+                    118, 40, 152, 157, 180, 57, 27, 94, 107, 42, 236, 35, 27, 111, 114, 114,
+                    219, 236, 232, 135, 111, 155, 110, 18, 24, 232, 95, 158, 179, 19, 48, 202])),
+            (bytes([88, 118, 104, 54, 79, 201, 235, 79, 3, 81, 156, 47, 203, 26, 244, 243,
+                    191, 187, 234, 136, 211, 159, 13, 115, 76, 55, 82, 183, 3, 117, 222, 37,
+                    86, 16, 179, 207, 49, 237, 179, 48, 1, 106, 178, 219, 175, 199, 166, 48,
+                    238, 55, 204, 36, 31, 240, 32, 63, 15, 83, 93, 161, 116, 147, 48, 113]),
+             bytes([179, 19, 48, 202, 219, 236, 232, 135, 111, 155, 110, 18, 24, 232, 95, 158,
+                    26, 110, 170, 154, 109, 42, 178, 168, 156, 240, 248, 238, 168, 196, 190, 203,
+                    69, 144, 51, 57, 29, 29, 150, 26, 150, 30, 235, 249, 190, 163, 251, 48,
+                    27, 111, 114, 114, 118, 40, 152, 157, 180, 57, 27, 94, 107, 42, 236, 35])),
+        ]
+        for given, expected in examples:
+            assert _core_block(list(struct.unpack("<16I", given))) == expected
 
-    def test_doubleround_is_row_after_column(self):
-        rng = random.Random(2)
-        state = [rng.getrandbits(32) for _ in range(16)]
-        assert _doubleround(state) == _rowround(_columnround(state))
+    def test_hsalsa20_matches_the_nacl_vectors(self):
+        for hsalsa20 in HSALSAS:
+            assert hsalsa20(NACL_SHARED, bytes(16)) == NACL_FIRSTKEY
+            assert hsalsa20(NACL_FIRSTKEY, NACL_NONCE[:16]) == NACL_SECONDKEY
+
+    def test_stream_matches_the_nacl_vector(self):
+        # NaCl's stream3 test: the first 32 keystream bytes under firstkey
+        expected = bytes.fromhex("eea6a7251c1e72916d11c2cb214d3c252539121d8e234e652d651fa4c8cff880")
+        for xor in XORS:
+            assert xor(NACL_FIRSTKEY, NACL_NONCE, bytes(32)) == expected
+
+    @needs_native
+    def test_native_stream_matches_the_nacl_4mib_vector(self):
+        # NaCl's stream test: SHA-256 of 4 MiB of keystream, past 2^16 blocks
+        stream = NATIVE.xsalsa20_xor(NACL_FIRSTKEY, NACL_NONCE, bytes(4 << 20))
+        assert hashlib.sha256(stream).hexdigest() == (
+            "662b9d0e3463029156069b12f918691a98f7dfb2ca0393c96bbfc6b1fbd630a2")
 
     def test_zero_state_is_a_fixed_point_of_the_rounds(self):
-        assert _doubleround([0] * 16) == [0] * 16
+        assert _rounds([0] * 16) == [0] * 16
         # ... so the core of the zero state is zero (feed-forward adds zero)
         assert _core_block([0] * 16) == bytes(64)
 
@@ -59,15 +98,22 @@ class TestSalsaCore:
     def test_stream_prefix_consistency(self):
         # slicing a longer stream equals generating a shorter one
         key, nonce = b"k" * 32, b"n" * 24
-        long = _xsalsa20_stream(key, nonce, 257)
-        for length in (0, 1, 63, 64, 65, 128, 200):
-            assert _xsalsa20_stream(key, nonce, length) == long[:length]
+        for xor in XORS:
+            long = xor(key, nonce, bytes(257))
+            for length in (0, 1, 63, 64, 65, 128, 200):
+                assert xor(key, nonce, bytes(length)) == long[:length]
 
     def test_hsalsa20_input_validation(self):
-        with pytest.raises(ValueError):
-            hsalsa20(b"short", b"x" * 16)
-        with pytest.raises(ValueError):
-            hsalsa20(b"k" * 32, b"x" * 15)
+        for hsalsa20 in HSALSAS:
+            with pytest.raises(ValueError):
+                hsalsa20(b"short", b"x" * 16)
+            with pytest.raises(ValueError):
+                hsalsa20(b"k" * 32, b"x" * 15)
+        for xor in XORS:
+            with pytest.raises(ValueError):
+                xor(b"k" * 31, b"n" * 24, b"data")
+            with pytest.raises(ValueError):
+                xor(b"k" * 32, b"n" * 23, b"data")
 
 
 class TestSecretbox:
@@ -127,13 +173,48 @@ def _libsodium():
     return lib
 
 
+DIFFERENTIAL_SIZES = [*range(301), 4095, 4096, 4097]
+
+
+@needs_native
+def test_native_matches_python_stream_and_boxes(monkeypatch):
+    rng = random.Random(0xD1FF)
+    cases = [(rng.randbytes(32), rng.randbytes(24), rng.randbytes(n)) for n in DIFFERENTIAL_SIZES]
+    native_boxes = [seal(key, nonce, msg) for key, nonce, msg in cases]
+    for key, nonce, msg in cases:
+        assert NATIVE.xsalsa20_xor(key, nonce, msg) == _py_xsalsa20_xor(key, nonce, msg), len(msg)
+    monkeypatch.setattr(secretbox, "_xsalsa20_xor", _py_xsalsa20_xor)
+    for (key, nonce, msg), boxed in zip(cases, native_boxes):
+        assert seal(key, nonce, msg) == boxed, len(msg)
+        assert open_box(key, nonce, boxed) == msg
+
+
+@needs_native
+def test_native_matches_libsodium_hsalsa20_and_stream():
+    lib = _libsodium()
+    if lib is None:
+        pytest.skip("libsodium.so.23 not available")
+    rng = random.Random(0x50D1)
+    for size in DIFFERENTIAL_SIZES:
+        key, nonce, msg = rng.randbytes(32), rng.randbytes(24), rng.randbytes(size)
+        subkey = ctypes.create_string_buffer(32)
+        assert lib.crypto_core_hsalsa20(subkey, nonce[:16], key, None) == 0
+        assert NATIVE.hsalsa20(key, nonce[:16]) == subkey.raw
+        stream = ctypes.create_string_buffer(max(size, 1))
+        assert lib.crypto_stream_xsalsa20(stream, ctypes.c_ulonglong(size), nonce, key) == 0
+        assert NATIVE.xsalsa20_xor(key, nonce, bytes(size)) == stream.raw[:size], size
+        xored = ctypes.create_string_buffer(max(size, 1))
+        assert lib.crypto_stream_xsalsa20_xor(xored, msg, ctypes.c_ulonglong(size), nonce, key) == 0
+        assert NATIVE.xsalsa20_xor(key, nonce, msg) == xored.raw[:size], size
+
+
 def test_matches_system_libsodium():
     # an independent implementation of the same construction, byte for byte
     lib = _libsodium()
     if lib is None:
         pytest.skip("libsodium.so.23 not available")
     rng = random.Random(0x5A17)
-    for size in [*range(301), 4095, 4096, 4097]:
+    for size in DIFFERENTIAL_SIZES:
         key, nonce, msg = rng.randbytes(32), rng.randbytes(24), rng.randbytes(size)
         theirs = ctypes.create_string_buffer(size + 16)
         assert lib.crypto_secretbox_easy(theirs, msg, ctypes.c_ulonglong(size), nonce, key) == 0
