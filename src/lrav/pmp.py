@@ -65,7 +65,11 @@ class PmpConfig:
         )
 
     def allows(self, access: Access) -> bool:
-        return {Access.READ: self.read, Access.WRITE: self.write, Access.EXECUTE: self.execute}[access]
+        if access is Access.READ:
+            return self.read
+        if access is Access.WRITE:
+            return self.write
+        return self.execute
 
 
 @dataclass

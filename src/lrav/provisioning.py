@@ -145,6 +145,8 @@ def parse_trust_store(text: str) -> TrustStore:
             continue
         fields = line.split()
         tag = fields[0]
+        if tag in ("key", "expect") and peer_id is None:
+            raise ParseError(lineno, f"{tag} line before any peer line")
         if tag == "peer":
             finish()
             if len(fields) != 2:
@@ -155,16 +157,12 @@ def parse_trust_store(text: str) -> TrustStore:
             if len(peer_id.encode()) > MAX_PEER_ID_BYTES:
                 raise ParseError(lineno, f"peer id longer than {MAX_PEER_ID_BYTES} bytes")
         elif tag == "key":
-            if peer_id is None:
-                raise ParseError(lineno, "key line before any peer line")
             if key is not None:
                 raise ParseError(lineno, f"peer {peer_id!r} already has a key")
             if len(fields) != 2:
                 raise ParseError(lineno, "key line needs exactly one value")
             key = _hex_field(fields[1], 32, lineno, "key")
         elif tag == "expect":
-            if peer_id is None:
-                raise ParseError(lineno, "expect line before any peer line")
             if len(fields) != 5:
                 raise ParseError(lineno, "expect line needs start, end, block, digest")
             try:

@@ -170,6 +170,17 @@ def _libsodium():
         return None
     if lib.sodium_init() < 0:
         return None
+    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+    signatures = {
+        "crypto_core_hsalsa20": [buf, buf, buf, buf],  # out, in, key, constants
+        "crypto_stream_xsalsa20": [buf, size, buf, buf],  # out, length, nonce, key
+        "crypto_stream_xsalsa20_xor": [buf, buf, size, buf, buf],  # out, in, length, nonce, key
+        "crypto_secretbox_easy": [buf, buf, size, buf, buf],
+        "crypto_secretbox_open_easy": [buf, buf, size, buf, buf],
+    }
+    for name, argtypes in signatures.items():
+        getattr(lib, name).argtypes = argtypes
+        getattr(lib, name).restype = ctypes.c_int
     return lib
 
 
