@@ -1,8 +1,8 @@
 """The accelerator loader: first-import builds into an empty cache, and fallback.
 
-Each test copies the package sources (no built module, no ``__pycache__``)
-into a temporary directory and imports that copy in fresh interpreters, as a
-first import from a clean checkout does.
+The build tests copy the package sources (no built module, no
+``__pycache__``) into a temporary directory and import that copy in fresh
+interpreters, as a first import from a clean checkout does.
 """
 
 import json
@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import lrav
@@ -52,10 +53,38 @@ subprocess.run = broken_run
 """
 
 
+# The compile step writes its output in two halves, half a second apart, so a
+# process that starts in between meets whatever a half-built file exposes.
+SLOW_COMPILER = """
+import os, subprocess, time
+real_run = subprocess.run
+
+def slow_run(cmd, **kwargs):
+    out = cmd[cmd.index("-o") + 1]
+    real_run([out + ".whole" if arg == out else arg for arg in cmd], **kwargs)
+    with open(out + ".whole", "rb") as whole:
+        data = whole.read()
+    os.unlink(out + ".whole")
+    with open(out, "wb") as dest:
+        dest.write(data[:len(data) // 2])
+        dest.flush()
+        time.sleep(0.5)
+        dest.write(data[len(data) // 2:])
+
+subprocess.run = slow_run
+"""
+
+
 def fresh_copy(tmp_path: Path) -> Path:
     pkg = Path(lrav.__file__).resolve().parent
     shutil.copytree(pkg, tmp_path / "lrav", ignore=shutil.ignore_patterns("__pycache__", "*.so"))
     return tmp_path
+
+
+def build_outputs(cache: Path) -> list[Path]:
+    """The build's own files, its temporary output and the module; not the side file."""
+    return [p for p in cache.glob("*")
+            if p.name.startswith((".build-", "_chainhash.")) and not p.name.endswith(".whole")]
 
 
 def start_probe(root: Path, prelude: str = "") -> subprocess.Popen:
@@ -82,8 +111,14 @@ def expected_outputs() -> tuple[str, str]:
 @pytest.mark.skipif(_native.EXT is None, reason="C accelerator cannot be built here")
 def test_concurrent_first_imports_share_one_build(tmp_path):
     root = fresh_copy(tmp_path)
-    procs = [start_probe(root), start_probe(root)]
-    results = [finish(p) for p in procs]
+    cache = root / "lrav" / "__pycache__"
+    first = start_probe(root, SLOW_COMPILER)
+    deadline = time.monotonic() + 60
+    while not any(p.stat().st_size for p in build_outputs(cache)):
+        assert first.poll() is None and time.monotonic() < deadline, "no build started"
+        time.sleep(0.005)
+    second = start_probe(root)  # its first import meets the half-written build
+    results = [finish(first), finish(second)]
     digest, box = expected_outputs()
     for result in results:
         assert result == {"crtm": True, "secretbox": True, "digest": digest, "box": box}
