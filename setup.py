@@ -1,9 +1,11 @@
 """Build hook for the optional C accelerator (chained SHA3 and XSalsa20).
 
-The package is fully functional without the extension: lrav.crtm falls back
-to hashlib and lrav.secretbox to a pure-Python XSalsa20, and an uninstalled
-checkout compiles the same source on first import (lrav._native). The
-extension exists because per-object hash overhead in Python distorts the
+The extension is one self-contained C file: a multi-lane SHA3-256 sponge for
+the chained measurement and the XSalsa20 stream, with no library beyond the
+Python headers. The package is fully functional without it: lrav.crtm falls
+back to hashlib and lrav.secretbox to a pure-Python XSalsa20, and an
+uninstalled checkout compiles the same source on first import (lrav._native).
+The extension exists because per-object hash overhead in Python distorts the
 block-size scaling the benchmarks assert, and the pure-Python stream
 dominates a handshake.
 """
@@ -33,7 +35,6 @@ setup(
         Extension(
             "lrav._chainhash",
             sources=["src/lrav/_chainhash.c"],
-            libraries=["crypto"],
         )
     ],
     cmdclass={"build_ext": OptionalBuildExt},

@@ -4,8 +4,9 @@ A setup.py build is used when present. Otherwise the C source is compiled
 once into the package's ``__pycache__``, named by the source hash and the
 interpreter's extension suffix, so a later import only hashes the source. The
 compiler writes a temporary file that is renamed into place, so concurrent
-first imports are safe. Without a compiler, the Python headers or libcrypto,
-EXT is None and callers take their pure-Python paths (same bytes, slower).
+first imports are safe, and older builds in the cache are then deleted.
+Without a compiler or the Python headers, EXT is None and callers take their
+pure-Python paths (same bytes, slower).
 """
 
 from __future__ import annotations
@@ -34,9 +35,13 @@ def _build(path: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
-        cmd += ["-O2", "-I" + sysconfig.get_paths()["include"], str(_SRC), "-o", tmp, "-lcrypto"]
+        cmd += ["-O2", "-I" + sysconfig.get_paths()["include"], str(_SRC), "-o", tmp]
         subprocess.run(cmd, check=True, capture_output=True, timeout=300)
         os.replace(tmp, path)
+        for old in path.parent.glob(f"_chainhash.*{_SUFFIX}"):  # builds of older sources
+            if old != path:
+                with contextlib.suppress(OSError):
+                    old.unlink()
     except subprocess.SubprocessError as exc:
         raise OSError(f"cannot compile {_SRC.name}: {exc}") from exc
     finally:
@@ -59,7 +64,7 @@ def _load():
         spec = importlib.util.spec_from_file_location(f"{__package__}._chainhash", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    except (OSError, ImportError):  # no compiler, Python headers or libcrypto
+    except (OSError, ImportError):  # no compiler or Python headers
         return None
     return module
 

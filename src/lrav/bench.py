@@ -1,4 +1,4 @@
-"""Scaling benchmarks: CRTM measurement time/work and end-to-end protocol time.
+"""Scaling benchmarks: CRTM measurement time and work.
 
 Absolute numbers are host-dependent; the properties of interest are ratios:
 time is linear in attested bytes (2x memory -> 2x time), the byte work
@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 from .crtm import AttestationConfig, WorkCounter, measure
 from .memory import MemoryImage, Region, RegionKind
-from .provisioning import FLASH_BASE, provision_pair
-from .runner import run_pair
+from .provisioning import FLASH_BASE
 
 KIB = 1024
 MIB = 1024 * 1024
 
 CRTM_SIZES = [1 * KIB << i for i in range(13)]  # 1 KiB .. 4 MiB doubling
 CRTM_BLOCKS = [1 * KIB, 2 * KIB, 4 * KIB]
-PROTOCOL_SIZES = [64 * KIB, 128 * KIB, 256 * KIB]
 DEFAULT_ITERS = 20
 
 
@@ -34,16 +32,6 @@ class CrtmSample:
     block: int
     times: list[float]
     work_bytes: int
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.times)
-
-
-@dataclass
-class ProtocolSample:
-    size: int
-    times: list[float]
 
     @property
     def mean(self) -> float:
@@ -78,31 +66,13 @@ def crtm_bench(
     return [samples[c] for c in combos]
 
 
-def protocol_bench(
-    sizes: list[int] | None = None, iters: int = DEFAULT_ITERS
-) -> list[ProtocolSample]:
-    """Full handshake wall time over the in-memory channel, per attested size."""
-    sizes = sizes or PROTOCOL_SIZES
-    pairs = {size: provision_pair(os.urandom(size), os.urandom(size)) for size in sizes}
-    samples = {size: ProtocolSample(size, []) for size in sizes}
-    for _ in range(iters):
-        for size in sizes:
-            start = time.perf_counter()
-            res_a, res_b = run_pair(*pairs[size])
-            elapsed = time.perf_counter() - start
-            if not (res_a.established and res_b.established):
-                raise RuntimeError(f"bench handshake failed: {res_a.describe()}")
-            samples[size].times.append(elapsed)
-    return [samples[size] for size in sizes]
-
-
 def _human_size(n: int) -> str:
     if n % MIB == 0:
         return f"{n // MIB}MB"
     return f"{n // KIB}KB"
 
 
-def format_text(crtm: list[CrtmSample], protocol: list[ProtocolSample], iters: int) -> str:
+def format_text(crtm: list[CrtmSample], iters: int) -> str:
     lines = [f"CRTM measurement, mean seconds over {iters} iterations"]
     blocks = sorted({s.block for s in crtm})
     by_size: dict[int, dict[int, CrtmSample]] = {}
@@ -119,19 +89,11 @@ def format_text(crtm: list[CrtmSample], protocol: list[ProtocolSample], iters: i
         any_sample = next(iter(by_size[size].values()))
         row += f"{any_sample.work_bytes}".rjust(12)
         lines.append(row)
-    if protocol:
-        lines.append("")
-        lines.append(f"end-to-end protocol, mean seconds over {iters} iterations")
-        lines.append("attested".rjust(8) + "time".rjust(12))
-        for s in protocol:
-            lines.append(_human_size(s.size).rjust(8) + f"{s.mean:.6f}".rjust(12))
     return "\n".join(lines)
 
 
-def format_csv(crtm: list[CrtmSample], protocol: list[ProtocolSample]) -> str:
+def format_csv(crtm: list[CrtmSample]) -> str:
     lines = ["kind,size_bytes,block_bytes,mean_seconds,work_bytes"]
     for s in crtm:
         lines.append(f"crtm,{s.size},{s.block},{s.mean:.9f},{s.work_bytes}")
-    for p in protocol:
-        lines.append(f"protocol,{p.size},,{p.mean:.9f},")
     return "\n".join(lines)

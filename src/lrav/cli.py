@@ -93,6 +93,9 @@ def _report(result: SessionResult, device_id: str) -> int:
     if result.timed_out:
         _eprint(f"transport timeout ({result.describe()})")
         return EXIT_TRANSPORT
+    if result.closed:  # "transport closed (<why>)"
+        _eprint(f"transport {result.describe()}")
+        return EXIT_TRANSPORT
     _eprint(f"attestation failed: {result.describe()}")
     return EXIT_ABORT
 
@@ -192,12 +195,11 @@ def cmd_serve(args) -> int:
 
 def cmd_bench(args) -> int:
     iters = args.iters or bench.DEFAULT_ITERS
-    crtm_samples = bench.crtm_bench(iters=iters)
-    protocol_samples = bench.protocol_bench(iters=iters)
+    samples = bench.crtm_bench(iters=iters)
     if args.format == "csv":
-        print(bench.format_csv(crtm_samples, protocol_samples), flush=True)
+        print(bench.format_csv(samples), flush=True)
     else:
-        print(bench.format_text(crtm_samples, protocol_samples, iters), flush=True)
+        print(bench.format_text(samples, iters), flush=True)
     return EXIT_OK
 
 
@@ -282,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peer", help="target peer id (default: sole provisioned peer)")
     p.set_defaults(func=cmd_attest)
 
-    p = sub.add_parser("bench", help="CRTM and protocol scaling benchmarks")
+    p = sub.add_parser("bench", help="CRTM scaling benchmarks")
     p.add_argument("--iters", type=int, help=f"iterations (default {bench.DEFAULT_ITERS})")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_bench)

@@ -325,8 +325,8 @@ def provision_pair(
     """Devices "alpha" and "beta" with fixed identities, each trusting the other.
 
     Each attests its own firmware image, mapped at the flash base. Used by
-    `bench.protocol_bench`, the adversary catalog and the test fixtures;
-    perfbench provisions through `lrav provision` instead.
+    the adversary catalog and the test fixtures; perfbench provisions
+    through `lrav provision` instead.
     """
     def attest(fw: bytes) -> crtm.AttestationConfig:
         return crtm.AttestationConfig(FLASH_BASE, FLASH_BASE + len(fw), block)

@@ -45,6 +45,7 @@ class SessionResult:
     reason: Optional[AbortReason] = None
     peer_reported: bool = False
     timed_out: bool = False
+    closed: bool = False  # the channel closed while waiting for a frame
     error: Optional[str] = None
 
     @property
@@ -57,6 +58,8 @@ class SessionResult:
             return "established"
         if self.timed_out:
             return "timeout"
+        if self.closed:
+            return f"closed ({self.error})"
         if self.reason is not None:
             source = "peer reported " if self.peer_reported else ""
             return f"aborted ({source}{self.reason.name})"
@@ -105,7 +108,9 @@ def _recv_message(ep, st: SessionState | None, msg_type: int, wire, timeout: flo
         frame = ep.recv_frame(timeout)
     except TransportTimeout:
         return None, SessionResult(False, st, timed_out=True)
-    except (ChannelClosed, FrameError) as exc:
+    except ChannelClosed as exc:
+        return None, SessionResult(False, st, closed=True, error=str(exc))
+    except FrameError as exc:
         return None, SessionResult(False, st, error=str(exc))
     if frame.msg_type == transport.MSG_ERROR:
         return None, _peer_error_result(st, frame.payload)

@@ -1,9 +1,14 @@
 import hashlib
+import random
+import sys
+import threading
 
 import pytest
 
 from lrav import crtm
-from lrav.crtm import AttestationConfig, Measurement, WorkCounter, measure, measurement_equals
+from lrav.crtm import (
+    AttestationConfig, Measurement, WorkCounter, _py_chained_digest, measure, measurement_equals,
+)
 from lrav.errors import InvalidRange
 from lrav.provisioning import FLASH_BASE
 
@@ -139,3 +144,71 @@ class TestMeasurementEquality:
 def test_determinism(rng):
     data = rng.randbytes(5000)
     assert digest_of(data, 1024) == digest_of(data, 1024)
+
+
+native = crtm._chained_sha3_256
+needs_native = pytest.mark.skipif(native is None, reason="C accelerator not built")
+
+# FIPS 202 SHA3-256 examples (NIST "SHA3-256" example values)
+FIPS202 = {
+    b"abc": "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532",
+    b"\xa3" * 200: "79f38adec5c20307a98ef76e8324afbfd46cfd81b22e3973c65fa1bd9de31787",
+}
+
+
+@needs_native
+class TestNativeKernel:
+    """The multi-lane sponge against hashlib and the pure-Python chain.
+
+    Block sizes sit around the 136-byte rate and around the point where a
+    block's remainder plus the 32-byte chain value spills into a second
+    permutation; chains of up to 20 blocks put a block on every lane and
+    reuse each lane several times.
+    """
+
+    def test_one_block_equals_sha3_256(self, rng):
+        for n in [*range(1, 301), 4095, 4096, 4097]:
+            data = rng.randbytes(n)
+            assert native(data, 1 << 20) == hashlib.sha3_256(data).digest(), n
+
+    def test_fips202_examples(self):
+        for message, digest in FIPS202.items():
+            assert native(message, len(message)).hex() == digest
+            assert _py_chained_digest(message, len(message)).hex() == digest
+
+    def test_chains_equal_the_python_chain(self, rng):
+        for block in [1, 31, 32, 33, 103, 104, 105, 135, 136, 137, 271, 272, 273, 1024, 4096]:
+            for count in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 20]:
+                for last in {block, 1, block // 2 + 1}:
+                    data = rng.randbytes((count - 1) * block + last)
+                    assert native(data, block) == _py_chained_digest(data, block), (block, count, last)
+
+    def test_unaligned_memoryview(self, rng):
+        region = bytearray(rng.randbytes(9000))
+        for offset in (1, 3, 7):
+            view = memoryview(region)[offset:offset + 8191]
+            for block in (100, 1024):
+                assert native(view, block) == _py_chained_digest(bytes(view), block)
+
+    def test_concurrent_calls_share_nothing(self):
+        images = [random.Random(seed).randbytes(256 * 1024 + seed) for seed in range(4)]
+        expected = [_py_chained_digest(image, 1024) for image in images]
+        results: list[list[bytes]] = [[] for _ in images]
+
+        def work(k):
+            for _ in range(10):
+                results[k].append(native(images[k], 1024))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, got in enumerate(results):
+            assert got == [expected[k]] * 10

@@ -5,8 +5,10 @@ The build tests copy the package sources (no built module, no
 interpreters, as a first import from a clean checkout does.
 """
 
+import importlib.util
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -126,6 +128,37 @@ def test_concurrent_first_imports_share_one_build(tmp_path):
                    if not p.name.endswith(".pyc"))
     assert len(cache) == 1 and cache[0].startswith("_chainhash."), cache
     assert cache[0].endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+
+
+@pytest.mark.skipif(_native.EXT is None, reason="C accelerator cannot be built here")
+def test_first_import_deletes_older_builds(tmp_path):
+    root = fresh_copy(tmp_path)
+    cache = root / "lrav" / "__pycache__"
+    cache.mkdir()
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    (cache / f"_chainhash.0123456789abcdef{suffix}").write_bytes(b"a build of an older source")
+    (cache / ".build-inflight.tmp").write_bytes(b"another process's compiler output")
+    digest, box = expected_outputs()
+    assert finish(start_probe(root)) == {"crtm": True, "secretbox": True, "digest": digest, "box": box}
+    left = sorted(p.name for p in cache.iterdir() if not p.name.endswith(".pyc"))
+    assert len(left) == 2 and left[0] == ".build-inflight.tmp", left
+    assert left[1].startswith("_chainhash.") and left[1] != f"_chainhash.0123456789abcdef{suffix}"
+
+
+def test_source_compiles_warning_free_without_libcrypto(tmp_path):
+    cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    if not cmd or shutil.which(cmd[0]) is None:
+        pytest.skip("no C compiler configured for this interpreter")
+    out = tmp_path / f"_chainhash{sysconfig.get_config_var('EXT_SUFFIX')}"
+    cmd += shlex.split(sysconfig.get_config_var("CCSHARED") or "")
+    cmd += ["-O2", "-Wall", "-Wextra", "-Werror", "-I" + sysconfig.get_paths()["include"],
+            str(_native._SRC), "-o", str(out)]
+    built = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert built.returncode == 0, built.stderr
+    spec = importlib.util.spec_from_file_location("_chainhash", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.chained_sha3_256(b"abc", 3).hex().startswith("3a985da7")
 
 
 def test_failed_compile_falls_back_to_python(tmp_path):

@@ -253,6 +253,31 @@ class TestCli:
                 "--addr", f"127.0.0.1:{port}", "--timeout", "0.3",
             ]) == 3
 
+    def test_attest_exits_3_when_the_responder_closes_after_m1(self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            got = bytearray()
+
+            def read_m1_then_close():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5.0)
+                    while len(got) < transport.HEADER_BYTES + 65 and (chunk := conn.recv(4096)):
+                        got.extend(chunk)
+
+            closer = threading.Thread(target=read_m1_then_close)
+            closer.start()
+            code = cli.main([
+                "attest", "--profile", str(tmp_path / "alpha.json"),
+                "--trust", str(tmp_path / "alpha.trust"),
+                "--addr", f"127.0.0.1:{listener.getsockname()[1]}", "--timeout", "5.0",
+            ])
+            closer.join(timeout=10)
+        assert not closer.is_alive()
+        assert transport.decode_frame(bytes(got))[0].msg_type == transport.MSG_M1
+        assert code == 3
+        assert capsys.readouterr().err.startswith("transport closed (")
+
     def test_attest_without_peer_needs_a_sole_peer(self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
         two = tmp_path / "two.trust"
