@@ -43,6 +43,9 @@ class DeviceState:
     sram_base: int
     boot_complete: bool = False
     quote_staging_hook: Optional[Callable[["DeviceState"], None]] = None
+    # (measurement pack, signature) of the last quote signed; no key material.
+    # Read and written under `lock` by the gate, cleared by reset like SRAM.
+    last_quote: Optional[tuple[bytes, bytes]] = None
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     @property
@@ -105,6 +108,7 @@ def device_reset(dev: DeviceState, *, run_rom_boot: bool = True) -> DeviceState:
     """
     with dev.lock:
         dev.boot_complete = False
+        dev.last_quote = None
         dev.bank.clear()
         dev.memory.zero_volatile()
         if run_rom_boot:

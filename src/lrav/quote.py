@@ -9,6 +9,7 @@ followed by the 64-byte signature (116 bytes total).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -76,31 +77,40 @@ def _wipe(buf: bytearray) -> None:
     buf[:] = bytes(len(buf))
 
 
-def _gated_sign(dev: DeviceState, message: bytes) -> bytes:
+def _gated_sign(dev: DeviceState, message: bytes, *, reuse_quote: bool = False) -> bytes:
     """The single QSK entry point.
 
     Refuses (GateViolation) unless boot finished and the key window really is
     locked execute-only: execute-allowed plus read-denied is the trust-anchor
     precondition for key secrecy. Gate-local key buffers are wiped before
     returning; deeper cache/register effects are out of scope.
+
+    With reuse_quote, `message` is a measurement pack: Ed25519 is deterministic
+    (RFC 8032 5.1.6), so the last quote signature is returned again for the
+    same 52 bytes, after the same gate checks, instead of being recomputed.
     """
-    if not dev.boot_complete:
-        raise GateViolation("device has not completed boot")
     with dev.lock:
+        if not dev.boot_complete:
+            raise GateViolation("device has not completed boot")
         if not _gate_is_intact(dev):
             raise GateViolation("QSK window is not locked execute-only")
+        if reuse_quote and dev.last_quote is not None and dev.last_quote[0] == message:
+            return dev.last_quote[1]
         seed_buf = bytearray(dev.memory.read(dev.qsk_base, SEED_BYTES))
         try:
             signer = Ed25519PrivateKey.from_private_bytes(bytes(seed_buf))
-            return signer.sign(message)
+            signature = signer.sign(message)
         finally:
             _wipe(seed_buf)
             del signer
+        if reuse_quote:
+            dev.last_quote = (message, signature)
+        return signature
 
 
 def sign_quote_gated(dev: DeviceState, measurement: Measurement) -> Quote:
     """Sign a measurement inside the X-only gate; deterministic per input."""
-    return Quote(measurement, _gated_sign(dev, measurement.pack()))
+    return Quote(measurement, _gated_sign(dev, measurement.pack(), reuse_quote=True))
 
 
 def sign_transcript_gated(dev: DeviceState, digest: bytes) -> bytes:
@@ -116,15 +126,24 @@ class QuoteVerdict(enum.Enum):
     MEASUREMENT_MISMATCH = "measurement-mismatch"
 
 
+# Quote verification is a pure function of its three inputs, and an honest
+# peer presents the same quote every session. Only a peer whose transcript
+# signature verified reaches this memo, so unauthenticated input cannot fill it.
+@functools.lru_cache(maxsize=32)
+def _signature_valid(verify_key: bytes, message: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(verify_key).verify(signature, message)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
 def verify_quote(verify_key: bytes, quote: Quote, expected: Measurement) -> QuoteVerdict:
     """Check signature then measurement against the provisioned expectation.
 
     Returns a verdict instead of raising; callers decide how to abort.
     """
-    try:
-        pub = Ed25519PublicKey.from_public_bytes(verify_key)
-        pub.verify(quote.signature, quote.measurement.pack())
-    except (InvalidSignature, ValueError):
+    if not _signature_valid(bytes(verify_key), quote.measurement.pack(), bytes(quote.signature)):
         return QuoteVerdict.BAD_SIGNATURE
     if not measurement_equals(quote.measurement, expected):
         return QuoteVerdict.MEASUREMENT_MISMATCH

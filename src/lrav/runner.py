@@ -45,7 +45,7 @@ class SessionResult:
     reason: Optional[AbortReason] = None
     peer_reported: bool = False
     timed_out: bool = False
-    closed: bool = False  # the channel closed while waiting for a frame
+    closed: bool = False  # the channel closed under a send or a receive
     error: Optional[str] = None
 
     @property
@@ -166,7 +166,7 @@ def run_responder(
     try:
         ep.send_frame(transport.MSG_M2, m2.pack())
     except ChannelClosed as exc:  # the peer left after M1: fail this session only
-        return SessionResult(False, st, error=str(exc))
+        return SessionResult(False, st, closed=True, error=str(exc))
     m3, ended = _recv_message(ep, st, transport.MSG_M3, WireM3, timeout)
     if ended is not None:
         return ended

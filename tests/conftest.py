@@ -1,3 +1,4 @@
+import ctypes
 import random
 import re
 import sys
@@ -123,3 +124,28 @@ def rng():
 @pytest.fixture
 def device_pair(rng):
     return make_pair(rng)
+
+
+def libsodium():
+    """The system libsodium with argtypes declared, or None where it is missing."""
+    try:
+        lib = ctypes.CDLL("libsodium.so.23")
+    except OSError:
+        return None
+    if lib.sodium_init() < 0:
+        return None
+    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
+    signatures = {
+        "crypto_core_hsalsa20": [buf, buf, buf, buf],  # out, in, key, constants
+        "crypto_stream_xsalsa20": [buf, size, buf, buf],  # out, length, nonce, key
+        "crypto_stream_xsalsa20_xor": [buf, buf, size, buf, buf],  # out, in, length, nonce, key
+        "crypto_secretbox_easy": [buf, buf, size, buf, buf],
+        "crypto_secretbox_open_easy": [buf, buf, size, buf, buf],
+        "crypto_sign_ed25519_seed_keypair": [buf, buf, buf],  # pk, sk, seed
+        # sig, siglen (may be NULL), message, length, sk
+        "crypto_sign_ed25519_detached": [buf, ctypes.c_void_p, buf, size, buf],
+    }
+    for name, argtypes in signatures.items():
+        getattr(lib, name).argtypes = argtypes
+        getattr(lib, name).restype = ctypes.c_int
+    return lib

@@ -34,26 +34,29 @@ def test_every_span_target_resolves(tracing):
 
 
 def test_honest_handshake_records_every_layer(tracing):
+    # The second handshake is warm: its quote signature and quote check are
+    # reused, yet both must still pass through the traced names.
     dev_a, dev_b = make_pair(random.Random(1))
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        ep_a, ep_b = transport.channel_pair()
+        for _ in range(2):
+            ep_a, ep_b = transport.channel_pair()
 
-        def responder():
-            with tracer.session("responder") as s:
-                s.outcome = tracing.outcome_of(runner.run_responder(dev_b, ep_b, "alpha"))
+            def responder():
+                with tracer.session("responder") as s:
+                    s.outcome = tracing.outcome_of(runner.run_responder(dev_b, ep_b, "alpha"))
 
-        worker = threading.Thread(target=responder)
-        worker.start()
-        with tracer.session("initiator") as s:
-            s.outcome = tracing.outcome_of(runner.run_initiator(dev_a, ep_a, "beta"))
-        worker.join(timeout=10)
-        assert not worker.is_alive()
+            worker = threading.Thread(target=responder)
+            worker.start()
+            with tracer.session("initiator") as s:
+                s.outcome = tracing.outcome_of(runner.run_initiator(dev_a, ep_a, "beta"))
+            worker.join(timeout=10)
+            assert not worker.is_alive()
     finally:
         tracer.uninstall()
-    assert [s.outcome for s in tracer.sessions] == ["established"] * 2
+    assert [s.outcome for s in tracer.sessions] == ["established"] * 4
     for session in tracer.sessions:
         for span in ("pmp.check", "device.mem_access", "quote.stage_outgoing_quote",
-                     "crtm.measure"):
+                     "crtm.measure", "quote.sign_quote_gated", "quote.verify_quote"):
             assert session.stats.get(span, [0])[0] >= 1, (session.role, span)

@@ -3,8 +3,11 @@ import random
 import types
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 import lrav.protocol
+from lrav import quote
+from lrav.crtm import Measurement
 from lrav.errors import (
     AuthenticationFailed,
     MalformedMessage,
@@ -33,7 +36,7 @@ from lrav.protocol import (
     respond_m1,
     transcript_hash,
 )
-from lrav.provisioning import TrustStore, provision_pair
+from lrav.provisioning import TrustedPeer, TrustStore, provision_pair
 from lrav.runner import run_pair
 
 # sha3_256 over 244 zero bytes, computed once with hashlib and frozen
@@ -125,6 +128,62 @@ class TestHonestRun:
         for st in (st_a, st_b):
             assert key_hex not in str(st.snapshot())
             assert key_hex not in repr(st)
+
+
+class TestEd25519Count:
+    """Ed25519 operations per handshake, both sides summed, counted at the
+    `cryptography` names that quote.py and protocol.py call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"sign": 0, "verify": 0}
+
+        class Signer:
+            def __init__(self, key):
+                self._key = key
+
+            @classmethod
+            def from_private_bytes(cls, data):
+                return cls(Ed25519PrivateKey.from_private_bytes(data))
+
+            def sign(self, message):
+                counts["sign"] += 1
+                return self._key.sign(message)
+
+        class Verifier:
+            def __init__(self, key):
+                self._key = key
+
+            @classmethod
+            def from_public_bytes(cls, data):
+                return cls(Ed25519PublicKey.from_public_bytes(data))
+
+            def verify(self, signature, message):
+                counts["verify"] += 1
+                self._key.verify(signature, message)
+
+        monkeypatch.setattr(quote, "Ed25519PrivateKey", Signer)
+        monkeypatch.setattr(quote, "Ed25519PublicKey", Verifier)
+        monkeypatch.setattr(lrav.protocol, "Ed25519PublicKey", Verifier)
+        quote._signature_valid.cache_clear()
+        return counts
+
+    def handshake(self, dev_a, dev_b, counts) -> dict:
+        counts.update(sign=0, verify=0)
+        res_a, res_b = run_pair(dev_a, dev_b)
+        assert res_a.established and res_b.established
+        return dict(counts)
+
+    def test_warm_handshake_signs_and_verifies_transcripts_only(self, device_pair, counts):
+        assert self.handshake(*device_pair, counts) == {"sign": 4, "verify": 4}
+        assert self.handshake(*device_pair, counts) == {"sign": 2, "verify": 2}
+
+    def test_two_expected_measurements_verify_the_quote_once(self, device_pair, counts):
+        dev_a, dev_b = device_pair
+        peer = dev_a.trust.get("beta")
+        other = Measurement(bytes(32), peer.expected[0].config)
+        dev_a.trust = TrustStore({"beta": TrustedPeer(peer.verify_key, (other, *peer.expected))})
+        assert self.handshake(dev_a, dev_b, counts) == {"sign": 4, "verify": 4}
 
 
 class TestFreshness:

@@ -1,3 +1,4 @@
+import ctypes
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from lrav.quote import (
     stage_outgoing_quote,
     verify_quote,
 )
+
+from conftest import libsodium
 
 
 def own_measurement(dev) -> Measurement:
@@ -96,6 +99,52 @@ class TestSigningGate:
         assert len(sig) == 64
 
 
+class TestQuoteSignatureReuse:
+    def test_reset_refuses_and_clears_the_slot(self, device_pair):
+        dev, _ = device_pair
+        m = own_measurement(dev)
+        sign_quote_gated(dev, m)
+        device_reset(dev, run_rom_boot=False)
+        assert dev.last_quote is None
+        with pytest.raises(GateViolation):
+            sign_quote_gated(dev, m)
+
+    def test_gate_still_runs_with_a_signature_in_the_slot(self, device_pair):
+        dev, _ = device_pair
+        m = own_measurement(dev)
+        sign_quote_gated(dev, m)
+        dev.boot_complete = False
+        with pytest.raises(GateViolation):
+            sign_quote_gated(dev, m)
+        dev.boot_complete = True
+        dev.bank.clear()  # the window unlocked as a reset leaves it, slot kept
+        assert dev.last_quote is not None
+        with pytest.raises(GateViolation):
+            sign_quote_gated(dev, m)
+
+    def test_reused_signature_equals_cold_and_libsodium(self, device_pair):
+        dev, _ = device_pair
+        m = own_measurement(dev)
+        cold = sign_quote_gated(dev, m).signature
+        assert dev.last_quote == (m.pack(), cold)
+        reused = sign_quote_gated(dev, m).signature
+        device_reset(dev)
+        assert reused == cold == sign_quote_gated(dev, m).signature
+        other = Measurement(bytes(32), m.config)  # a new measurement is signed afresh
+        assert sign_quote_gated(dev, other).signature == quote._gated_sign(dev, other.pack())
+        lib = libsodium()
+        if lib is None:
+            pytest.skip("libsodium.so.23 not available")
+        seed = dev.memory.read(dev.qsk_base, 32)  # trusted path, test-only
+        pk, sk = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
+        assert lib.crypto_sign_ed25519_seed_keypair(pk, sk, seed) == 0
+        theirs = ctypes.create_string_buffer(64)
+        message = m.pack()
+        assert lib.crypto_sign_ed25519_detached(
+            theirs, None, message, ctypes.c_ulonglong(len(message)), sk) == 0
+        assert pk.raw == dev.identity.public and theirs.raw == reused
+
+
 class TestVerifyQuote:
     def test_measurement_mismatch(self, device_pair):
         dev, _ = device_pair
@@ -138,6 +187,31 @@ class TestVerifyQuote:
             verdict = verify_quote(key, Quote(quoted, sig), expected)
             should_accept = right_key and quoted.digest == expected.digest
             assert (verdict is QuoteVerdict.ACCEPT) == should_accept
+
+
+class TestVerifyMemo:
+    def test_cached_accept_keeps_every_rejection(self, device_pair):
+        dev, other = device_pair
+        quote._signature_valid.cache_clear()
+        m = own_measurement(dev)
+        q = sign_quote_gated(dev, m)
+        assert verify_quote(dev.identity.public, q, m) is QuoteVerdict.ACCEPT
+        flipped = bytearray(q.signature)
+        flipped[0] ^= 0x01
+        assert verify_quote(dev.identity.public, Quote(m, bytes(flipped)), m) \
+            is QuoteVerdict.BAD_SIGNATURE
+        wrong = Measurement(bytes(32), m.config)
+        assert verify_quote(dev.identity.public, q, wrong) is QuoteVerdict.MEASUREMENT_MISMATCH
+        assert verify_quote(other.identity.public, q, m) is QuoteVerdict.BAD_SIGNATURE
+        assert verify_quote(dev.identity.public, q, m) is QuoteVerdict.ACCEPT
+
+    def test_accepts_bytes_like_arguments(self, device_pair):
+        dev, _ = device_pair
+        m = own_measurement(dev)
+        sig = sign_quote_gated(dev, m).signature
+        for kind in (bytearray, memoryview):
+            q = Quote(m, kind(bytearray(sig)))
+            assert verify_quote(kind(bytearray(dev.identity.public)), q, m) is QuoteVerdict.ACCEPT
 
 
 class TestWireForm:

@@ -156,9 +156,9 @@ def test_failed_m2_send_ends_only_that_session(device_pair, capsys):
     _, dev_b = device_pair
     result = run_responder(dev_b, ResetAfterM1(valid_m1()), "alpha")
     assert not result.established and not result.timed_out and result.reason is None
-    assert "reset by peer" in result.error
-    assert cli._report(result, dev_b.device_id) == cli.EXIT_ABORT
-    assert capsys.readouterr().err.startswith("attestation failed: failed (")
+    assert result.closed and "reset by peer" in result.error
+    assert cli._report(result, dev_b.device_id) == cli.EXIT_TRANSPORT
+    assert capsys.readouterr().err.startswith("transport closed (")
 
 
 @contextlib.contextmanager

@@ -17,6 +17,8 @@ from lrav.secretbox import (
     seal,
 )
 
+from conftest import libsodium
+
 NATIVE = _native.EXT
 needs_native = pytest.mark.skipif(NATIVE is None, reason="C accelerator unavailable")
 # every implementation on this host: the pure-Python twin, then the native one
@@ -163,27 +165,6 @@ class TestSecretbox:
         assert seal(key, nonce, b"msg") == seal(key, nonce, b"msg")
 
 
-def _libsodium():
-    try:
-        lib = ctypes.CDLL("libsodium.so.23")
-    except OSError:
-        return None
-    if lib.sodium_init() < 0:
-        return None
-    buf, size = ctypes.c_char_p, ctypes.c_ulonglong
-    signatures = {
-        "crypto_core_hsalsa20": [buf, buf, buf, buf],  # out, in, key, constants
-        "crypto_stream_xsalsa20": [buf, size, buf, buf],  # out, length, nonce, key
-        "crypto_stream_xsalsa20_xor": [buf, buf, size, buf, buf],  # out, in, length, nonce, key
-        "crypto_secretbox_easy": [buf, buf, size, buf, buf],
-        "crypto_secretbox_open_easy": [buf, buf, size, buf, buf],
-    }
-    for name, argtypes in signatures.items():
-        getattr(lib, name).argtypes = argtypes
-        getattr(lib, name).restype = ctypes.c_int
-    return lib
-
-
 DIFFERENTIAL_SIZES = [*range(301), 4095, 4096, 4097]
 
 
@@ -202,7 +183,7 @@ def test_native_matches_python_stream_and_boxes(monkeypatch):
 
 @needs_native
 def test_native_matches_libsodium_hsalsa20_and_stream():
-    lib = _libsodium()
+    lib = libsodium()
     if lib is None:
         pytest.skip("libsodium.so.23 not available")
     rng = random.Random(0x50D1)
@@ -221,7 +202,7 @@ def test_native_matches_libsodium_hsalsa20_and_stream():
 
 def test_matches_system_libsodium():
     # an independent implementation of the same construction, byte for byte
-    lib = _libsodium()
+    lib = libsodium()
     if lib is None:
         pytest.skip("libsodium.so.23 not available")
     rng = random.Random(0x5A17)
