@@ -1,12 +1,12 @@
-"""The one C accelerator, ``lrav._chainhash``, built on first import if needed.
+"""The one C accelerator, ``lrav._chainhash``, built on first import.
 
-A setup.py build is used when present. Otherwise the C source is compiled
-once into the package's ``__pycache__``, named by the source hash and the
-interpreter's extension suffix, so a later import only hashes the source. The
-compiler writes a temporary file that is renamed into place, so concurrent
-first imports are safe, and older builds in the cache are then deleted.
-Without a compiler or the Python headers, EXT is None and callers take their
-pure-Python paths (same bytes, slower).
+The only build path, in a checkout or an install (which ships the C source):
+compile once into the package's ``__pycache__``, named by the source hash and
+the extension suffix, so later imports only hash the source and never load a
+build of an older one. A temporary output renamed into place makes concurrent
+first imports safe; older builds are then deleted. Without a compiler, Python
+headers or a writable ``__pycache__`` (a read-only install), EXT is None and
+callers take their pure-Python paths (same bytes, slower).
 """
 
 from __future__ import annotations
@@ -50,12 +50,7 @@ def _build(path: Path) -> None:
 
 
 def _load():
-    """The accelerator module, or None; a stale setup.py build is rebuilt."""
-    with contextlib.suppress(ImportError):
-        from . import _chainhash
-
-        if all(hasattr(_chainhash, n) for n in ("chained_sha3_256", "hsalsa20", "xsalsa20_xor")):
-            return _chainhash
+    """The build of the current source, compiled if missing, or None."""
     try:
         key = hashlib.sha256(_SRC.read_bytes()).hexdigest()[:16]
         path = _SRC.parent / "__pycache__" / f"_chainhash.{key}{_SUFFIX}"
@@ -64,7 +59,7 @@ def _load():
         spec = importlib.util.spec_from_file_location(f"{__package__}._chainhash", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    except (OSError, ImportError):  # no compiler or Python headers
+    except (OSError, ImportError):  # no compiler, Python headers or writable cache
         return None
     return module
 

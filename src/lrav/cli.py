@@ -57,8 +57,8 @@ def _eprint(line: str) -> None:
 
 def _parse_addr(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"address must be HOST:PORT, got {value!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"address must be HOST:PORT with PORT 0-65535, got {value!r}")
     return host, int(port)
 
 
@@ -163,7 +163,11 @@ def cmd_serve(args) -> int:
     dev = _load_device(args)
     peer = args.peer or dev.trust.sole_peer()
     host, port = _parse_addr(args.addr)
-    listener = transport.TcpListener(host, port)
+    try:
+        listener = transport.TcpListener(host, port)
+    except OSError as exc:
+        _eprint(f"cannot listen on {args.addr}: {exc}")
+        return EXIT_TRANSPORT
     bound = listener.address
     print(f"listening on {bound[0]}:{bound[1]}", flush=True)
 

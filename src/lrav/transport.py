@@ -189,10 +189,7 @@ class TcpEndpoint(_StreamEndpoint):
 
 class TcpListener:
     def __init__(self, host: str, port: int):
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
+        self._sock = socket.create_server((host, port))  # SO_REUSEADDR; closed if bind fails
 
     @property
     def address(self) -> tuple[str, int]:

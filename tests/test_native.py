@@ -2,9 +2,12 @@
 
 The build tests copy the package sources (no built module, no
 ``__pycache__``) into a temporary directory and import that copy in fresh
-interpreters, as a first import from a clean checkout does.
+interpreters, as a first import from a clean checkout does. One builds the
+package's installed layout with setuptools instead, so the installed copy
+must carry the C source itself.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -40,6 +43,14 @@ print(json.dumps({
               .digest.hex(),
     "box": secretbox.seal(bytes(range(32)), bytes(24), data[:300]).hex(),
 }))
+"""
+
+# The file the accelerator was loaded from.
+LOADED_FILE = """
+import json
+from lrav import _native
+
+print(json.dumps(_native.EXT and _native.EXT.__file__))
 """
 
 # The compile step fails after writing part of its output file.
@@ -89,9 +100,9 @@ def build_outputs(cache: Path) -> list[Path]:
             if p.name.startswith((".build-", "_chainhash.")) and not p.name.endswith(".whole")]
 
 
-def start_probe(root: Path, prelude: str = "") -> subprocess.Popen:
+def start_probe(root: Path, prelude: str = "", probe: str = PROBE) -> subprocess.Popen:
     return subprocess.Popen(
-        [sys.executable, "-c", prelude + PROBE],
+        [sys.executable, "-c", prelude + probe],
         cwd=root, env=dict(os.environ, PYTHONPATH=str(root)),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
@@ -101,6 +112,18 @@ def finish(proc: subprocess.Popen) -> dict:
     out, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err
     return json.loads(out)
+
+
+def compile_warning_free(source: Path, out: Path) -> None:
+    """Compile `source` into the extension module `out`, as an in-place build does."""
+    cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    if not cmd or shutil.which(cmd[0]) is None:
+        pytest.skip("no C compiler configured for this interpreter")
+    cmd += shlex.split(sysconfig.get_config_var("CCSHARED") or "")
+    cmd += ["-O2", "-Wall", "-Wextra", "-Werror", "-I" + sysconfig.get_paths()["include"],
+            str(source), "-o", str(out)]
+    built = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert built.returncode == 0, built.stderr
 
 
 def expected_outputs() -> tuple[str, str]:
@@ -146,19 +169,47 @@ def test_first_import_deletes_older_builds(tmp_path):
 
 
 def test_source_compiles_warning_free_without_libcrypto(tmp_path):
-    cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
-    if not cmd or shutil.which(cmd[0]) is None:
-        pytest.skip("no C compiler configured for this interpreter")
     out = tmp_path / f"_chainhash{sysconfig.get_config_var('EXT_SUFFIX')}"
-    cmd += shlex.split(sysconfig.get_config_var("CCSHARED") or "")
-    cmd += ["-O2", "-Wall", "-Wextra", "-Werror", "-I" + sysconfig.get_paths()["include"],
-            str(_native._SRC), "-o", str(out)]
-    built = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
-    assert built.returncode == 0, built.stderr
+    compile_warning_free(_native._SRC, out)
     spec = importlib.util.spec_from_file_location("_chainhash", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.chained_sha3_256(b"abc", 3).hex().startswith("3a985da7")
+
+
+@pytest.mark.skipif(_native.EXT is None, reason="C accelerator cannot be built here")
+def test_stale_in_place_build_is_ignored(tmp_path):
+    # An in-place extension build left beside the package, then the source is edited.
+    root = fresh_copy(tmp_path)
+    source = root / "lrav" / "_chainhash.c"
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    compile_warning_free(source, root / "lrav" / f"_chainhash{suffix}")
+    source.write_text(source.read_text() + "/* edited after the in-place build */\n")
+    key = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    fresh = root / "lrav" / "__pycache__" / f"_chainhash.{key}{suffix}"
+    loaded = finish(start_probe(root, probe=LOADED_FILE))
+    assert loaded == str(fresh)
+    digest, box = expected_outputs()
+    assert finish(start_probe(root)) == {"crtm": True, "secretbox": True, "digest": digest, "box": box}
+
+
+@pytest.mark.skipif(_native.EXT is None, reason="C accelerator cannot be built here")
+def test_installed_layout_carries_and_builds_the_source(tmp_path):
+    pytest.importorskip("setuptools")
+    checkout = Path(__file__).resolve().parents[1]
+    shutil.copy(checkout / "pyproject.toml", tmp_path)
+    shutil.copytree(checkout / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.egg-info"))
+    lib = tmp_path / "lib"
+    built = subprocess.run(
+        [sys.executable, "-c", "import setuptools; setuptools.setup()", "build_py",
+         "--build-lib", str(lib)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert built.returncode == 0, built.stderr
+    assert (lib / "lrav" / "_chainhash.c").is_file()
+    digest, box = expected_outputs()
+    assert finish(start_probe(lib)) == {"crtm": True, "secretbox": True, "digest": digest, "box": box}
 
 
 def test_failed_compile_falls_back_to_python(tmp_path):

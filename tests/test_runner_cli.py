@@ -303,6 +303,34 @@ class TestCli:
             assert "listening on" not in captured.out  # refused before it binds
             assert f"{count} peers are provisioned" in captured.err
 
+    @pytest.mark.parametrize("name, command", [("alpha", "attest"), ("beta", "serve")])
+    def test_out_of_range_port_is_a_usage_error(self, tmp_path, rng, capsys, name, command):
+        # 70000 must not wrap to port 4464 on dial, nor overflow on bind
+        provision_cli_pair(tmp_path, rng, capsys)
+        argv = [command, "--profile", str(tmp_path / f"{name}.json"),
+                "--trust", str(tmp_path / f"{name}.trust"), "--timeout", "0.3"]
+        argv += ["--once"] if command == "serve" else []
+        for port in ("70000", "65536"):
+            assert cli.main(argv + ["--addr", f"127.0.0.1:{port}"]) == 2
+            captured = capsys.readouterr()
+            assert "listening on" not in captured.out
+            assert captured.err == (
+                f"error: address must be HOST:PORT with PORT 0-65535, got '127.0.0.1:{port}'\n")
+
+    def test_serve_on_a_taken_address_exits_3(self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            addr = f"127.0.0.1:{taken.getsockname()[1]}"
+            assert cli.main([
+                "serve", "--profile", str(tmp_path / "beta.json"),
+                "--trust", str(tmp_path / "beta.trust"),
+                "--addr", addr, "--once", "--timeout", "0.3",
+            ]) == 3
+        captured = capsys.readouterr()
+        assert "listening on" not in captured.out
+        assert captured.err.startswith(f"cannot listen on {addr}: [Errno ")
+        assert captured.err.count("\n") == 1
+
     def test_failed_provision_leaves_no_profile(self, tmp_path, rng, capsys):
         fw = tmp_path / "fw.bin"
         fw.write_bytes(rng.randbytes(4096))
