@@ -13,6 +13,8 @@ import argparse
 import dataclasses
 import sys
 import threading
+import time
+import traceback
 from pathlib import Path
 
 from . import attacks, bench, transport
@@ -40,6 +42,8 @@ EXIT_ABORT = 1
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
+SERVE_WORKERS = 8  # accept-and-handle threads in `serve --parallel`; 1 without it
+ACCEPT_RETRY_S = 0.1  # back-off after a failed accept on an open listener
 
 _OUTPUT_LOCK = threading.Lock()
 
@@ -57,7 +61,7 @@ def _eprint(line: str) -> None:
 
 def _parse_addr(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit() or int(port) > 65535:
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValueError(f"address must be HOST:PORT with PORT 0-65535, got {value!r}")
     return host, int(port)
 
@@ -159,6 +163,25 @@ def cmd_attest(args) -> int:
     return _report(result, dev.device_id)
 
 
+def _accept_loop(listener: transport.TcpListener, handle) -> None:
+    """One serve worker: accept and handle connections until the listener closes.
+
+    A session that raises ends alone, so the pool keeps its size.
+    """
+    while True:
+        try:
+            ep = listener.accept()
+        except OSError:
+            if listener.closed:
+                return
+            time.sleep(ACCEPT_RETRY_S)  # e.g. out of descriptors; keep the worker
+            continue
+        try:
+            handle(ep)
+        except Exception as exc:
+            _eprint(f"attestation failed: failed ({exc!r})\n{traceback.format_exc().rstrip()}")
+
+
 def cmd_serve(args) -> int:
     dev = _load_device(args)
     peer = args.peer or dev.trust.sole_peer()
@@ -168,8 +191,6 @@ def cmd_serve(args) -> int:
     except OSError as exc:
         _eprint(f"cannot listen on {args.addr}: {exc}")
         return EXIT_TRANSPORT
-    bound = listener.address
-    print(f"listening on {bound[0]}:{bound[1]}", flush=True)
 
     def handle(ep) -> int:
         try:
@@ -179,15 +200,14 @@ def cmd_serve(args) -> int:
         return _report(result, dev.device_id)
 
     try:
+        bound = listener.address
+        print(f"listening on {bound[0]}:{bound[1]}", flush=True)
         if args.once:
-            ep = listener.accept(timeout=args.timeout)
-            return handle(ep)
-        while True:
-            ep = listener.accept(timeout=None)
-            if args.parallel:
-                threading.Thread(target=handle, args=(ep,), daemon=True).start()
-            else:
-                handle(ep)
+            return handle(listener.accept(timeout=args.timeout))
+        for _ in range(SERVE_WORKERS - 1 if args.parallel else 0):
+            threading.Thread(target=_accept_loop, args=(listener, handle), daemon=True).start()
+        _accept_loop(listener, handle)  # the main thread is a worker, so Ctrl-C lands here
+        return EXIT_OK
     except TransportTimeout:
         _eprint("no incoming connection before timeout")
         return EXIT_TRANSPORT
@@ -279,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_range(p)
     p.add_argument("--peer", help="expected initiator id (default: sole provisioned peer)")
     p.add_argument("--once", action="store_true", help="handle one connection and exit")
-    p.add_argument("--parallel", action="store_true", help="one thread per connection")
+    p.add_argument("--parallel", action="store_true",
+                   help=f"serve up to {SERVE_WORKERS} connections at once from a fixed thread pool")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("attest", help="dial a responder and run the initiator")

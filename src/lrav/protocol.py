@@ -15,7 +15,8 @@ after sending M1, so it measures while B measures, and hands it to
 `process_m2`. A's quote therefore reflects A's memory as of just after M1;
 the M3 transcript signature binds it to both nonces. B measures only after
 X25519 and the point check, so a weak-point M1 costs it no measurement and
-no signature.
+no signature. B screens out small-order points before it generates its
+ephemeral, so those cost it no X25519 work either.
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ M2_BYTES = NONCE_BYTES + POINT_BYTES + 1 + BOX_BYTES  # 261
 
 _KDF_LABEL = b"LIRA-V/1/KDF"
 _AE_LABEL = b"LIRA-V/1/AE"
+
+_P25519 = 2**255 - 19
+# u-coordinates of Curve25519's points of order 1, 2, 4 and 8, including the
+# non-canonical p and p + 1 (RFC 7748 section 6.1; libsodium's blocklist).
+# X25519 with any of them yields all zeros for every scalar.
+_SMALL_ORDER = frozenset({
+    0, 1, _P25519 - 1, _P25519, _P25519 + 1,
+    0xB8495F16056286FDB1329CEB8D09DA6AC49FF1FAE35616AEB8413B7C7AEBE0,
+    0x57119FD0DD4E22D8868E1C58C45C44045BEF839C55B1D0B1248C50A3BC959C5F,
+})
 
 
 class AbortReason(enum.IntEnum):
@@ -258,6 +269,11 @@ def transcript_hash(
     ).digest()
 
 
+def is_small_order(point: bytes) -> bool:
+    """True if `point` is a small-order X25519 encoding; the ignored top bit is masked."""
+    return (int.from_bytes(point, "little") & ~(1 << 255)) in _SMALL_ORDER
+
+
 def _agree(st: SessionState, point: bytes) -> None:
     """X25519 with the peer's point, then K; a degenerate point aborts WEAK_POINT.
 
@@ -352,6 +368,8 @@ def respond_m1(
         peer_id = dev.trust.sole_peer()
     if dev.trust.get(peer_id) is None:
         raise UnknownPeer(peer_id)
+    if is_small_order(m1.point):  # before any X25519 work; _agree stays the backstop
+        raise ProtocolAbort(AbortReason.WEAK_POINT, "small-order X25519 point")
 
     st = SessionState(role=Role.RESPONDER, peer_id=peer_id)
     st.my_nonce = secrets.token_bytes(NONCE_BYTES)

@@ -188,15 +188,24 @@ class TcpEndpoint(_StreamEndpoint):
 
 
 class TcpListener:
+    """A listening socket that several threads may accept on at once."""
+
     def __init__(self, host: str, port: int):
         self._sock = socket.create_server((host, port))  # SO_REUSEADDR; closed if bind fails
+        self.closed = False
 
     @property
     def address(self) -> tuple[str, int]:
         return self._sock.getsockname()[:2]
 
     def accept(self, timeout: float | None = None) -> TcpEndpoint:
-        self._sock.settimeout(timeout)
+        """Next connection; with a timeout, TransportTimeout if none arrives in time.
+
+        Without one the shared socket stays blocking and untouched, so
+        concurrent acceptors make no per-call mode switch.
+        """
+        if timeout is not None:
+            self._sock.settimeout(timeout)
         try:
             conn, _ = self._sock.accept()
         except socket.timeout:
@@ -204,6 +213,12 @@ class TcpListener:
         return TcpEndpoint(conn)
 
     def close(self) -> None:
+        """Close, waking every thread blocked in `accept` with an OSError."""
+        self.closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # close() alone leaves them blocked
+        except OSError:
+            pass
         self._sock.close()
 
 

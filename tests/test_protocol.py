@@ -4,6 +4,7 @@ import types
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 import lrav.protocol
 from lrav import quote
@@ -49,6 +50,24 @@ def honest_run(dev_a, dev_b):
     st_a, m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
     st_b = process_m3(dev_b, st_b, m3)
     return st_a, st_b, (m1, m2, m3)
+
+
+# every small-order table entry, with the top bit that X25519 ignores clear and set
+SMALL_ORDER_POINTS = [
+    (u | top).to_bytes(32, "little")
+    for u in sorted(lrav.protocol._SMALL_ORDER) for top in (0, 1 << 255)
+]
+
+
+def test_small_order_table_matches_the_backend():
+    assert len(SMALL_ORDER_POINTS) == 14
+    key = X25519PrivateKey.generate()
+    for point in SMALL_ORDER_POINTS:
+        assert lrav.protocol.is_small_order(point)
+        with pytest.raises(ValueError):
+            key.exchange(X25519PublicKey.from_public_bytes(point))
+    honest = X25519PrivateKey.generate().public_key().public_bytes_raw()
+    assert not lrav.protocol.is_small_order(honest)
 
 
 # SHA-256 of the three frames of one seeded handshake; any change to the
@@ -214,9 +233,10 @@ class TestRespondM1:
             WireM1.unpack(bytes(64))
 
     def test_zero_point_aborts_weak_point(self, device_pair, monkeypatch):
-        # an unauthenticated 65-byte M1 must not buy a measurement or a signature
-        calls = {"measure": 0, "sign_quote_gated": 0}
-        for name in calls:
+        # an unauthenticated 65-byte M1 with a small-order point must not buy
+        # X25519 work, a measurement or a signature
+        calls = {"measure": 0, "sign_quote_gated": 0, "generate": 0, "exchange": 0}
+        for name in ("measure", "sign_quote_gated"):
             real = getattr(lrav.protocol, name)
 
             def counted(*args, _name=name, _real=real):
@@ -224,11 +244,34 @@ class TestRespondM1:
                 return _real(*args)
 
             monkeypatch.setattr(lrav.protocol, name, counted)
-        _, dev_b = device_pair
-        with pytest.raises(ProtocolAbort) as exc:
-            respond_m1(dev_b, WireM1(bytes(32), bytes(32)), "alpha")
-        assert exc.value.reason is AbortReason.WEAK_POINT
-        assert calls == {"measure": 0, "sign_quote_gated": 0}
+
+        class CountedKey:
+            def __init__(self, key):
+                self.key = key
+
+            def public_key(self):
+                return self.key.public_key()
+
+            def exchange(self, peer):
+                calls["exchange"] += 1
+                return self.key.exchange(peer)
+
+        real_generate = X25519PrivateKey.generate
+
+        def generate():
+            calls["generate"] += 1
+            return CountedKey(real_generate())
+
+        monkeypatch.setattr(lrav.protocol.X25519PrivateKey, "generate", generate)
+        dev_a, dev_b = device_pair
+        for point in SMALL_ORDER_POINTS:
+            with pytest.raises(ProtocolAbort) as exc:
+                respond_m1(dev_b, WireM1(bytes(32), point), "alpha")
+            assert exc.value.reason is AbortReason.WEAK_POINT
+        assert calls == {"measure": 0, "sign_quote_gated": 0, "generate": 0, "exchange": 0}
+        point = real_generate().public_key().public_bytes_raw()
+        respond_m1(dev_b, WireM1(bytes(32), point), "alpha")  # the counters do count
+        assert calls == {"measure": 1, "sign_quote_gated": 1, "generate": 1, "exchange": 1}
 
     def test_single_provisioned_peer_is_implied(self, device_pair):
         dev_a, dev_b = device_pair
@@ -246,6 +289,18 @@ class TestRespondM1:
 
 
 class TestProcessM2Aborts:
+    def test_small_order_point_is_weak_point(self, device_pair):
+        dev_a, dev_b = device_pair
+        _, m1 = initiate(dev_a, "beta")
+        _, m2 = respond_m1(dev_b, m1, "alpha")
+        staged = produce_own_quote(dev_a)
+        for point in SMALL_ORDER_POINTS:
+            st_a, _ = initiate(dev_a, "beta")
+            with pytest.raises(ProtocolAbort) as exc:
+                process_m2(dev_a, st_a, WireM2(m2.nonce, point, m2.box), staged)
+            assert exc.value.reason is AbortReason.WEAK_POINT
+            assert st_a.phase is Phase.ABORTED and st_a.eph.cleared
+
     def test_flipped_box_bit_is_bad_tag(self, device_pair):
         dev_a, dev_b = device_pair
         st_a, m1 = initiate(dev_a, "beta")

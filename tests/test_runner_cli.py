@@ -1,6 +1,7 @@
 import contextlib
 import os
 import re
+import signal
 import socket
 import struct
 import subprocess
@@ -169,29 +170,149 @@ def refused_port():
         yield sock.getsockname()[1]
 
 
+def spawn_serve(tmp_path, *flags, prelude=""):
+    """`lrav serve` as beta in a child process; returns the process and its port.
+
+    `prelude` is Python run in the child before the CLI starts.
+    """
+    src = Path(lrav.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = ["-c", prelude + "\nimport sys\nfrom lrav import cli\nsys.exit(cli.main(sys.argv[1:]))"]
+    serve = subprocess.Popen(
+        [sys.executable, *(run if prelude else ["-m", "lrav"]), "serve",
+         "--profile", str(tmp_path / "beta.json"), "--trust", str(tmp_path / "beta.trust"),
+         "--addr", "127.0.0.1:0", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    line = serve.stdout.readline()
+    match = re.fullmatch(r"listening on \S+:(\d+)\n", line)
+    if match is None:
+        serve.kill()
+        raise AssertionError(f"serve did not start: {line!r} {serve.communicate(timeout=10)}")
+    return serve, int(match.group(1))
+
+
+def attest(tmp_path, port, timeout="5.0") -> int:
+    return cli.main([
+        "attest", "--profile", str(tmp_path / "alpha.json"),
+        "--trust", str(tmp_path / "alpha.trust"),
+        "--addr", f"127.0.0.1:{port}", "--timeout", timeout,
+    ])
+
+
+def threads_of(pid: int) -> int:
+    status = Path(f"/proc/{pid}/status").read_text()
+    return int(re.search(r"^Threads:\s+(\d+)$", status, re.MULTILINE).group(1))
+
+
+# Fails the first SERVE_WORKERS sessions in the child, as many as there are workers.
+FAULTY_RESPONDER = """
+from lrav import cli
+real, faults = cli.run_responder, iter(range(cli.SERVE_WORKERS))
+def run_responder(*args, **kwargs):
+    if next(faults, None) is not None:
+        raise RuntimeError("injected fault")
+    return real(*args, **kwargs)
+cli.run_responder = run_responder
+"""
+
+
+class TestServePool:
+    def test_thread_count_stays_bounded_under_idle_connections(self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        workers = cli.SERVE_WORKERS
+        serve, port = spawn_serve(tmp_path, "--parallel", "--timeout", "1")
+        samples, idle = [], []
+        stop = threading.Event()
+
+        def sample():
+            while not stop.wait(0.01):
+                samples.append(threads_of(serve.pid))
+
+        sampler = threading.Thread(target=sample)
+        sampler.start()
+        try:
+            for _ in range(2 * workers):
+                idle.append(socket.create_connection(("127.0.0.1", port), timeout=10))
+            for sock in idle:  # serve drops each at its 1 s frame deadline
+                assert sock.recv(1) == b""
+            stop.set()
+            sampler.join(timeout=10)
+            assert not sampler.is_alive()
+            code = attest(tmp_path, port)
+        finally:
+            stop.set()
+            for sock in idle:
+                sock.close()
+            serve.kill()
+            _, err = serve.communicate(timeout=10)
+        assert workers <= max(samples) <= workers + 1
+        assert err.count("transport timeout (timeout)") == 2 * workers
+        assert code == 0
+
+    def test_sessions_that_raise_leave_every_worker_serving(self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        workers = cli.SERVE_WORKERS
+        serve, port = spawn_serve(
+            tmp_path, "--parallel", "--timeout", "2.0", prelude=FAULTY_RESPONDER)
+        try:
+            codes = [attest(tmp_path, port) for _ in range(workers + 1)]
+            still_serving = serve.poll() is None
+        finally:
+            serve.kill()
+            _, err = serve.communicate(timeout=10)
+        assert codes == [3] * workers + [0] and still_serving
+        assert err.count("attestation failed: failed (RuntimeError('injected fault'))") == workers
+
+    def test_sigint_exits_0_with_nothing_on_stderr(self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        # Ctrl-C as in a terminal, even where this test runs with SIGINT ignored
+        serve, port = spawn_serve(
+            tmp_path, "--parallel", "--timeout", "5.0",
+            prelude="import signal\nsignal.signal(signal.SIGINT, signal.default_int_handler)")
+        try:
+            code = attest(tmp_path, port)
+            with socket.create_connection(("127.0.0.1", port), timeout=10):  # a busy worker
+                time.sleep(0.2)
+                serve.send_signal(signal.SIGINT)
+                out, err = serve.communicate(timeout=10)
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.communicate(timeout=10)
+        assert code == 0 and "established device=beta" in out
+        assert serve.returncode == 0 and err == ""
+
+    def test_accept_errors_keep_the_worker_until_the_listener_closes(self):
+        class Listener:
+            closed = False
+            events = [OSError(24, "Too many open files"), "endpoint", None]
+
+            def accept(self):
+                event = self.events.pop(0)
+                if event is None:
+                    self.closed = True
+                    raise OSError(22, "Invalid argument")
+                if isinstance(event, OSError):
+                    raise event
+                return event
+
+        handled = []
+        cli._accept_loop(Listener(), handled.append)
+        assert handled == ["endpoint"]
+
+
 class TestCli:
     def test_serve_survives_peers_that_reset_after_m1(self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
-        src = Path(lrav.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        serve = subprocess.Popen(
-            [sys.executable, "-m", "lrav", "serve",
-             "--profile", str(tmp_path / "beta.json"), "--trust", str(tmp_path / "beta.trust"),
-             "--addr", "127.0.0.1:0", "--timeout", "2.0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
+        serve, port = spawn_serve(tmp_path, "--timeout", "2.0")
         try:
-            port = int(re.fullmatch(r"listening on \S+:(\d+)\n", serve.stdout.readline()).group(1))
             for _ in range(2):  # valid M1, then close with a reset instead of a FIN
                 with socket.create_connection(("127.0.0.1", port), timeout=2.0) as sock:
                     sock.sendall(transport.encode_frame(transport.MSG_M1, valid_m1()))
                     sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-            code = cli.main([
-                "attest", "--profile", str(tmp_path / "alpha.json"),
-                "--trust", str(tmp_path / "alpha.trust"),
-                "--addr", f"127.0.0.1:{port}", "--timeout", "5.0",
-            ])
+            code = attest(tmp_path, port)
             still_serving = serve.poll() is None
         finally:
             serve.kill()
@@ -305,12 +426,13 @@ class TestCli:
 
     @pytest.mark.parametrize("name, command", [("alpha", "attest"), ("beta", "serve")])
     def test_out_of_range_port_is_a_usage_error(self, tmp_path, rng, capsys, name, command):
-        # 70000 must not wrap to port 4464 on dial, nor overflow on bind
+        # 70000 must not wrap to port 4464 on dial, nor overflow on bind, and
+        # Arabic-Indic digits must not dial or bind port 12
         provision_cli_pair(tmp_path, rng, capsys)
         argv = [command, "--profile", str(tmp_path / f"{name}.json"),
                 "--trust", str(tmp_path / f"{name}.trust"), "--timeout", "0.3"]
         argv += ["--once"] if command == "serve" else []
-        for port in ("70000", "65536"):
+        for port in ("70000", "65536", "\u0661\u0662"):
             assert cli.main(argv + ["--addr", f"127.0.0.1:{port}"]) == 2
             captured = capsys.readouterr()
             assert "listening on" not in captured.out
