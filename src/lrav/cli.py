@@ -16,6 +16,7 @@ import threading
 import time
 import traceback
 from pathlib import Path
+from typing import NoReturn
 
 from . import attacks, bench, transport
 from .crtm import AttestationConfig, measure
@@ -42,8 +43,10 @@ EXIT_ABORT = 1
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
-SERVE_WORKERS = 8  # accept-and-handle threads in `serve --parallel`; 1 without it
-ACCEPT_RETRY_S = 0.1  # back-off after a failed accept on an open listener
+# Accept-and-handle threads in `serve --parallel`; 1 without it. Not tuned:
+# no benchmark workload yet opens more than 2 connections at once.
+SERVE_WORKERS = 8
+ACCEPT_RETRY_S = 0.1  # back-off after a failed accept
 
 _OUTPUT_LOCK = threading.Lock()
 
@@ -163,8 +166,8 @@ def cmd_attest(args) -> int:
     return _report(result, dev.device_id)
 
 
-def _accept_loop(listener: transport.TcpListener, handle) -> None:
-    """One serve worker: accept and handle connections until the listener closes.
+def _accept_loop(listener: transport.TcpListener, handle) -> NoReturn:
+    """One serve worker: accept and handle connections until the process exits.
 
     A session that raises ends alone, so the pool keeps its size.
     """
@@ -172,8 +175,6 @@ def _accept_loop(listener: transport.TcpListener, handle) -> None:
         try:
             ep = listener.accept()
         except OSError:
-            if listener.closed:
-                return
             time.sleep(ACCEPT_RETRY_S)  # e.g. out of descriptors; keep the worker
             continue
         try:
@@ -207,7 +208,6 @@ def cmd_serve(args) -> int:
         for _ in range(SERVE_WORKERS - 1 if args.parallel else 0):
             threading.Thread(target=_accept_loop, args=(listener, handle), daemon=True).start()
         _accept_loop(listener, handle)  # the main thread is a worker, so Ctrl-C lands here
-        return EXIT_OK
     except TransportTimeout:
         _eprint("no incoming connection before timeout")
         return EXIT_TRANSPORT
@@ -264,7 +264,8 @@ def _add_common(sub: argparse.ArgumentParser, *, profile=False, trust=False, add
     if addr:
         sub.add_argument("--addr", required=True, help="HOST:PORT")
     sub.add_argument("--timeout", type=float, default=transport.DEFAULT_TIMEOUT,
-                     help="per-frame receive deadline in seconds (default %(default)s)")
+                     help="receive deadline in seconds: for the initiator's M2, and for the "
+                          "responder's M1 and M3 together (default %(default)s)")
 
 
 def _add_range(sub: argparse.ArgumentParser):

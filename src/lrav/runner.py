@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,7 +154,13 @@ def run_responder(
     peer_id: str | None = None,
     timeout: float = transport.DEFAULT_TIMEOUT,
 ) -> SessionResult:
-    """Run the B role for one session over an open endpoint."""
+    """Run the B role for one session over an open endpoint.
+
+    `timeout` bounds the whole session: M1 and M3 must both arrive within
+    `timeout` of the call, so a peer that sends each frame late holds B for
+    one deadline, not two.
+    """
+    deadline = time.monotonic() + timeout
     m1, ended = _recv_message(ep, None, transport.MSG_M1, WireM1, timeout)
     if ended is not None:
         return ended
@@ -167,7 +174,7 @@ def run_responder(
         ep.send_frame(transport.MSG_M2, m2.pack())
     except ChannelClosed as exc:  # the peer left after M1: fail this session only
         return SessionResult(False, st, closed=True, error=str(exc))
-    m3, ended = _recv_message(ep, st, transport.MSG_M3, WireM3, timeout)
+    m3, ended = _recv_message(ep, st, transport.MSG_M3, WireM3, deadline - time.monotonic())
     if ended is not None:
         return ended
     try:

@@ -192,7 +192,6 @@ class TcpListener:
 
     def __init__(self, host: str, port: int):
         self._sock = socket.create_server((host, port))  # SO_REUSEADDR; closed if bind fails
-        self.closed = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -213,12 +212,6 @@ class TcpListener:
         return TcpEndpoint(conn)
 
     def close(self) -> None:
-        """Close, waking every thread blocked in `accept` with an OSError."""
-        self.closed = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)  # close() alone leaves them blocked
-        except OSError:
-            pass
         self._sock.close()
 
 

@@ -162,6 +162,20 @@ def test_failed_m2_send_ends_only_that_session(device_pair, capsys):
     assert capsys.readouterr().err.startswith("transport closed (")
 
 
+def test_responder_deadline_covers_the_whole_session(device_pair):
+    # an M1 sent late leaves only the rest of the session's deadline for M3
+    _, dev_b = device_pair
+    ep_a, ep_b = transport.channel_pair()
+    late = threading.Timer(1.2, ep_a.send_frame, (transport.MSG_M1, valid_m1()))
+    late.start()
+    start = time.monotonic()
+    result = run_responder(dev_b, ep_b, "alpha", timeout=2.0)
+    elapsed = time.monotonic() - start
+    late.join()
+    assert result.timed_out and result.state is not None  # M1 taken, M2 sent, no M3
+    assert elapsed < 2.6, elapsed  # per-frame deadlines alone would hold it 3.2 s
+
+
 @contextlib.contextmanager
 def refused_port():
     """A loopback port held bound but never listening, so every connect is refused."""
@@ -284,22 +298,58 @@ class TestServePool:
         assert code == 0 and "established device=beta" in out
         assert serve.returncode == 0 and err == ""
 
-    def test_accept_errors_keep_the_worker_until_the_listener_closes(self):
+    def test_slow_peers_delay_an_honest_session_by_one_deadline_at_most(
+            self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        workers, deadline = cli.SERVE_WORKERS, 2.0
+        serve, port = spawn_serve(tmp_path, "--parallel", "--timeout", str(deadline))
+        m1 = transport.encode_frame(transport.MSG_M1, valid_m1())
+        m3_head = transport.encode_frame(transport.MSG_M3, bytes(196))[:transport.HEADER_BYTES]
+
+        def slow_peer():
+            # M1 finished just inside its frame deadline, then an M3 that never
+            # completes; reconnect once dropped, behind the honest initiator
+            try:
+                for _ in range(2):
+                    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                        sock.sendall(m1[:-1])
+                        time.sleep(0.7 * deadline)
+                        sock.sendall(m1[-1:] + m3_head)
+                        while sock.recv(4096):  # M2, then EOF when serve drops it
+                            pass
+            except OSError:
+                pass  # serve was stopped
+
+        peers = [threading.Thread(target=slow_peer) for _ in range(workers)]
+        try:
+            for peer in peers:
+                peer.start()
+            time.sleep(0.2)  # every worker holds a slow peer
+            start = time.monotonic()
+            code = attest(tmp_path, port)
+            elapsed = time.monotonic() - start
+        finally:
+            serve.kill()
+            serve.communicate(timeout=10)
+            for peer in peers:
+                peer.join(timeout=10)
+        assert code == 0
+        # with only per-frame deadlines each slow peer holds its worker 1.7 deadlines
+        assert elapsed < 1.35 * deadline, elapsed
+
+    def test_accept_errors_keep_the_worker(self):
         class Listener:
-            closed = False
-            events = [OSError(24, "Too many open files"), "endpoint", None]
+            events = [OSError(24, "Too many open files"), "endpoint", KeyboardInterrupt()]
 
             def accept(self):
                 event = self.events.pop(0)
-                if event is None:
-                    self.closed = True
-                    raise OSError(22, "Invalid argument")
-                if isinstance(event, OSError):
+                if isinstance(event, BaseException):
                     raise event
                 return event
 
         handled = []
-        cli._accept_loop(Listener(), handled.append)
+        with pytest.raises(KeyboardInterrupt):
+            cli._accept_loop(Listener(), handled.append)
         assert handled == ["endpoint"]
 
 

@@ -189,26 +189,6 @@ class TestTcp:
         accepted["ep"].close()
         listener.close()
 
-    def test_close_wakes_every_blocked_acceptor(self):
-        listener = TcpListener("127.0.0.1", 0)
-        woken = []
-
-        def acceptor():
-            try:
-                listener.accept()
-            except OSError as exc:
-                woken.append(exc)
-
-        threads = [threading.Thread(target=acceptor, daemon=True) for _ in range(3)]
-        for t in threads:
-            t.start()
-        time.sleep(0.1)  # let them block in accept
-        listener.close()
-        for t in threads:
-            t.join(timeout=5)
-            assert not t.is_alive()
-        assert len(woken) == 3 and listener.closed
-
 
 def test_recv_deadline_covers_the_whole_frame():
     # a peer dripping one byte per 0.1 s must not hold a 0.5 s receive open
