@@ -21,7 +21,7 @@ from typing import NoReturn
 from . import attacks, bench, transport
 from .crtm import AttestationConfig, measure
 from .device import DeviceState
-from .errors import ChannelClosed, LravError, TransportTimeout
+from .errors import LravError, TransportTimeout
 from .memory import MemoryImage, Region, RegionKind
 from .provisioning import (
     FLASH_BASE,
@@ -152,7 +152,7 @@ def cmd_measure(args) -> int:
 
 def cmd_attest(args) -> int:
     dev = _load_device(args)
-    peer = args.peer or dev.trust.sole_peer()
+    peer = dev.trust.resolve(args.peer)  # before dialling: a usage error needs no socket
     host, port = _parse_addr(args.addr)
     try:
         ep = transport.dial(host, port, timeout=args.timeout)
@@ -185,7 +185,7 @@ def _accept_loop(listener: transport.TcpListener, handle) -> NoReturn:
 
 def cmd_serve(args) -> int:
     dev = _load_device(args)
-    peer = args.peer or dev.trust.sole_peer()
+    peer = dev.trust.resolve(args.peer)  # before binding: a usage error needs no socket
     host, port = _parse_addr(args.addr)
     try:
         listener = transport.TcpListener(host, port)
@@ -263,9 +263,9 @@ def _add_common(sub: argparse.ArgumentParser, *, profile=False, trust=False, add
         sub.add_argument("--trust", required=True, help="trust store path")
     if addr:
         sub.add_argument("--addr", required=True, help="HOST:PORT")
-    sub.add_argument("--timeout", type=float, default=transport.DEFAULT_TIMEOUT,
-                     help="receive deadline in seconds: for the initiator's M2, and for the "
-                          "responder's M1 and M3 together (default %(default)s)")
+        sub.add_argument("--timeout", type=float, default=transport.DEFAULT_TIMEOUT,
+                         help="receive deadline in seconds: for the initiator's M2, and for the "
+                              "responder's M1 and M3 together (default %(default)s)")
 
 
 def _add_range(sub: argparse.ArgumentParser):
@@ -329,9 +329,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TransportTimeout, ChannelClosed) as exc:
-        _eprint(f"transport failure: {exc}")
-        return EXIT_TRANSPORT
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         _eprint(f"cannot read input: {exc}")
         return EXIT_USAGE

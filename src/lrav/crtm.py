@@ -48,6 +48,8 @@ class AttestationConfig:
             )
         if self.block_size < 1:
             raise InvalidRange(f"block size must be >= 1: {self.block_size}")
+        if self.block_size > 0xFFFF_FFFF:  # a quote packs it in 4 bytes
+            raise InvalidRange(f"block size must fit in 4 bytes: {self.block_size}")
 
 
 @dataclass(frozen=True)

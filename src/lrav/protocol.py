@@ -39,7 +39,6 @@ from .errors import (
     MalformedMessage,
     ProtocolAbort,
     ProtocolStateError,
-    UnknownPeer,
     WeakPoint,
 )
 from .quote import (
@@ -56,6 +55,7 @@ from .quote import (
 NONCE_BYTES = 32
 POINT_BYTES = 32
 AR_FLAG = 0x01
+_AR = bytes([AR_FLAG])
 M1_BYTES = NONCE_BYTES + POINT_BYTES + 1  # 65
 INNER_BYTES = QUOTE_WIRE_BYTES + SIGNATURE_BYTES  # 180
 BOX_BYTES = INNER_BYTES + secretbox.TAG_BYTES  # 196
@@ -120,10 +120,9 @@ def _unpack_hello(data: bytes, name: str, size: int) -> tuple[bytes, bytes, byte
 class WireM1:
     nonce: bytes
     point: bytes
-    ar: int = AR_FLAG
 
     def pack(self) -> bytes:
-        return self.nonce + self.point + bytes([self.ar])
+        return self.nonce + self.point + _AR
 
     @classmethod
     def unpack(cls, data: bytes) -> "WireM1":
@@ -136,10 +135,9 @@ class WireM2:
     nonce: bytes
     point: bytes
     box: bytes
-    ar: int = AR_FLAG
 
     def pack(self) -> bytes:
-        return self.nonce + self.point + bytes([self.ar]) + self.box
+        return self.nonce + self.point + _AR + self.box
 
     @classmethod
     def unpack(cls, data: bytes) -> "WireM2":
@@ -320,8 +318,6 @@ def _open_flight(dev: DeviceState, st: SessionState, direction: Direction, box: 
         _abort(st, AbortReason.MALFORMED, f"inner plaintext must be {INNER_BYTES} bytes")
     quote_bytes, sig = inner[:QUOTE_WIRE_BYTES], inner[QUOTE_WIRE_BYTES:]
     peer = dev.trust.get(st.peer_id)
-    if peer is None:
-        raise UnknownPeer(st.peer_id)
     digest = transcript_hash(quote_bytes, n_a, n_b, st.peer_point, st.eph.public)
     try:
         Ed25519PublicKey.from_public_bytes(peer.verify_key).verify(sig, digest)
@@ -347,9 +343,7 @@ def _open_flight(dev: DeviceState, st: SessionState, direction: Direction, box: 
 
 def initiate(dev: DeviceState, peer_id: str) -> tuple[SessionState, WireM1]:
     """A's first flight: fresh nonce and ephemeral point plus the AR flag."""
-    if dev.trust.get(peer_id) is None:
-        raise UnknownPeer(peer_id)
-    st = SessionState(role=Role.INITIATOR, peer_id=peer_id)
+    st = SessionState(role=Role.INITIATOR, peer_id=dev.trust.resolve(peer_id))
     st.my_nonce = secrets.token_bytes(NONCE_BYTES)
     st.phase = Phase.SENT_M1
     return st, WireM1(st.my_nonce, st.eph.public)
@@ -364,10 +358,7 @@ def respond_m1(
     IP address), so the caller names the peer; with a single provisioned peer
     it may be omitted.
     """
-    if peer_id is None:
-        peer_id = dev.trust.sole_peer()
-    if dev.trust.get(peer_id) is None:
-        raise UnknownPeer(peer_id)
+    peer_id = dev.trust.resolve(peer_id)
     if is_small_order(m1.point):  # before any X25519 work; _agree stays the backstop
         raise ProtocolAbort(AbortReason.WEAK_POINT, "small-order X25519 point")
 

@@ -87,12 +87,16 @@ class TrustStore:
     def get(self, peer_id: str) -> TrustedPeer | None:
         return self._entries.get(peer_id)
 
-    def sole_peer(self) -> str:
-        """The peer to assume when none is named: only a one-peer store has one."""
-        n = len(self._entries)
-        if n != 1:
-            raise UnknownPeer(f"a peer must be named: {n} peers are provisioned, not exactly one")
-        return next(iter(self._entries))
+    def resolve(self, peer_id: str | None) -> str:
+        """`peer_id` if it is provisioned; for None, the sole peer of a one-peer store."""
+        if peer_id is None:
+            n = len(self._entries)
+            if n != 1:
+                raise UnknownPeer(f"a peer must be named: {n} peers are provisioned, not exactly one")
+            return next(iter(self._entries))
+        if peer_id not in self._entries:
+            raise UnknownPeer(f"peer {peer_id!r} is not provisioned")
+        return peer_id
 
     def peer_ids(self) -> list[str]:
         return list(self._entries)

@@ -1,9 +1,14 @@
 """Drives one protocol session over a transport endpoint.
 
-On any local abort a single plaintext error frame (type 0xFF, one reason
-byte) is sent as a courtesy; a received error frame is recorded but never
-trusted. Timeouts and closed channels are reported distinctly so the attack
-harness can tell non-response from rejection.
+Each role is straight-line code, and every session that does not establish
+ends in `_early_end`: a receive deadline (`timed_out`), a channel closed
+under a send or a receive (`closed`), an undecodable frame (`error`), the
+peer's error frame (`peer_reported`; recorded, never trusted), or a local
+abort (`reason`), which first sends one plaintext courtesy error frame (type
+0xFF, one reason byte). Any session state is left ABORTED with K cleared.
+A caller error is the caller's mistake, not the peer's, and propagates: an
+unprovisioned peer (`UnknownPeer`), a device whose gate will not sign
+(`GateViolation`), a message fed in the wrong phase (`ProtocolStateError`).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .errors import (
     MalformedMessage,
     ProtocolAbort,
     TransportTimeout,
-    UnknownPeer,
 )
 from .protocol import (
     AbortReason,
@@ -72,56 +76,50 @@ def key_fingerprint(key: bytes) -> str:
     return hashlib.sha3_256(key).hexdigest()[:8]
 
 
-def _send_error(ep, reason: AbortReason) -> None:
-    try:
-        ep.send_frame(transport.MSG_ERROR, bytes([reason]))
-    except (ChannelClosed, OSError):
-        pass
+class _PeerAbort(Exception):
+    """The peer's error frame; `reason` is None for a missing or unknown reason byte."""
+
+    def __init__(self, payload: bytes):
+        super().__init__()
+        try:
+            self.reason = AbortReason(payload[0])
+        except (IndexError, ValueError):
+            self.reason = None
 
 
-def _peer_error_result(st: SessionState | None, payload: bytes) -> SessionResult:
-    try:
-        reason = AbortReason(payload[0])
-    except (IndexError, ValueError):  # empty payload or unknown reason byte
-        reason = None
+_EARLY_ENDS = (TransportTimeout, ChannelClosed, FrameError, _PeerAbort, ProtocolAbort)
+
+
+def _early_end(ep, st: SessionState | None, exc: Exception) -> SessionResult:
+    """The result of a session that ended before Established (see the module docstring)."""
+    reason = getattr(exc, "reason", None)
     if st is not None:
-        st.phase = Phase.ABORTED
-        st.abort_reason = reason
-    return SessionResult(False, st, reason=reason, peer_reported=True)
+        st.phase, st.abort_reason, st.k = Phase.ABORTED, reason, None
+    if isinstance(exc, TransportTimeout):
+        return SessionResult(False, st, timed_out=True)
+    if isinstance(exc, ChannelClosed):
+        return SessionResult(False, st, closed=True, error=str(exc))
+    if isinstance(exc, _PeerAbort):
+        return SessionResult(False, st, reason=reason, peer_reported=True)
+    if isinstance(exc, ProtocolAbort):
+        try:
+            ep.send_frame(transport.MSG_ERROR, bytes([reason]))
+        except ChannelClosed:
+            pass
+    return SessionResult(False, st, reason=reason, error=str(exc))
 
 
-def _local_abort(ep, st: SessionState | None, reason: AbortReason, detail: str) -> SessionResult:
-    if st is not None:
-        st.phase = Phase.ABORTED
-        st.abort_reason = reason
-    _send_error(ep, reason)
-    return SessionResult(False, st, reason=reason, error=detail)
-
-
-def _recv_message(ep, st: SessionState | None, msg_type: int, wire, timeout: float):
-    """Receive and parse the next protocol message.
-
-    Returns (message, None), or (None, result) when the session ends here:
-    timeout, closed channel, undecodable frame, peer error frame, or an
-    unexpected or malformed message.
-    """
-    try:
-        frame = ep.recv_frame(timeout)
-    except TransportTimeout:
-        return None, SessionResult(False, st, timed_out=True)
-    except ChannelClosed as exc:
-        return None, SessionResult(False, st, closed=True, error=str(exc))
-    except FrameError as exc:
-        return None, SessionResult(False, st, error=str(exc))
+def _recv(ep, msg_type: int, wire, timeout: float):
+    """The next message, parsed; anything else raises one of `_EARLY_ENDS`."""
+    frame = ep.recv_frame(timeout)
     if frame.msg_type == transport.MSG_ERROR:
-        return None, _peer_error_result(st, frame.payload)
+        raise _PeerAbort(frame.payload)
     if frame.msg_type != msg_type:
-        detail = f"unexpected frame type {frame.msg_type:#04x}"
-        return None, _local_abort(ep, st, AbortReason.MALFORMED, detail)
+        raise ProtocolAbort(AbortReason.MALFORMED, f"unexpected frame type {frame.msg_type:#04x}")
     try:
-        return wire.unpack(frame.payload), None
+        return wire.unpack(frame.payload)
     except MalformedMessage as exc:
-        return None, _local_abort(ep, st, AbortReason.MALFORMED, str(exc))
+        raise ProtocolAbort(AbortReason.MALFORMED, str(exc)) from None
 
 
 def run_initiator(
@@ -134,17 +132,15 @@ def run_initiator(
 
     A measures right after sending M1, while the responder measures too.
     """
-    st, m1 = initiate(dev, peer_id)  # UnknownPeer is a caller error; let it raise
-    ep.send_frame(transport.MSG_M1, m1.pack())
-    staged = produce_own_quote(dev)
-    m2, ended = _recv_message(ep, st, transport.MSG_M2, WireM2, timeout)
-    if ended is not None:
-        return ended
+    st, m1 = initiate(dev, peer_id)
     try:
+        ep.send_frame(transport.MSG_M1, m1.pack())
+        staged = produce_own_quote(dev)
+        m2 = _recv(ep, transport.MSG_M2, WireM2, timeout)
         st, m3 = process_m2(dev, st, m2, staged)
-    except ProtocolAbort as exc:
-        return _local_abort(ep, st, exc.reason, str(exc))
-    ep.send_frame(transport.MSG_M3, m3.pack())
+        ep.send_frame(transport.MSG_M3, m3.pack())
+    except _EARLY_ENDS as exc:
+        return _early_end(ep, st, exc)
     return SessionResult(True, st)
 
 
@@ -161,26 +157,15 @@ def run_responder(
     one deadline, not two.
     """
     deadline = time.monotonic() + timeout
-    m1, ended = _recv_message(ep, None, transport.MSG_M1, WireM1, timeout)
-    if ended is not None:
-        return ended
+    st = None
     try:
+        m1 = _recv(ep, transport.MSG_M1, WireM1, timeout)
         st, m2 = respond_m1(dev, m1, peer_id)
-    except ProtocolAbort as exc:
-        return _local_abort(ep, None, exc.reason, str(exc))
-    except UnknownPeer as exc:
-        return _local_abort(ep, None, AbortReason.MALFORMED, str(exc))
-    try:
         ep.send_frame(transport.MSG_M2, m2.pack())
-    except ChannelClosed as exc:  # the peer left after M1: fail this session only
-        return SessionResult(False, st, closed=True, error=str(exc))
-    m3, ended = _recv_message(ep, st, transport.MSG_M3, WireM3, deadline - time.monotonic())
-    if ended is not None:
-        return ended
-    try:
-        st = process_m3(dev, st, m3)
-    except ProtocolAbort as exc:
-        return _local_abort(ep, st, exc.reason, str(exc))
+        m3 = _recv(ep, transport.MSG_M3, WireM3, deadline - time.monotonic())
+        process_m3(dev, st, m3)
+    except _EARLY_ENDS as exc:
+        return _early_end(ep, st, exc)
     return SessionResult(True, st)
 
 

@@ -102,6 +102,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidRange):
             AttestationConfig(FLASH_BASE, FLASH_BASE + 1024, 0)
 
+    def test_block_size_must_fit_the_quote(self):
+        # a quote packs the block size in 4 bytes: the largest that fits still packs
+        largest = AttestationConfig(FLASH_BASE, FLASH_BASE + 1024, 0xFFFF_FFFF)
+        assert Measurement(bytes(32), largest).pack()[16:20] == b"\xff" * 4
+        with pytest.raises(InvalidRange, match="4 bytes"):
+            AttestationConfig(FLASH_BASE, FLASH_BASE + 1024, 0x1_0000_0000)
+
     def test_unmapped_range_rejected(self):
         config = AttestationConfig(0x100, 0x200, 32)
         with pytest.raises(InvalidRange):

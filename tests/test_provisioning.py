@@ -90,13 +90,16 @@ def sample_store(rng) -> TrustStore:
 
 
 class TestTrustStoreFormat:
-    def test_sole_peer_only_in_a_one_peer_store(self, rng):
+    def test_resolve_names_a_provisioned_or_the_sole_peer(self, rng):
         store = sample_store(rng)
         with pytest.raises(UnknownPeer, match="2 peers are provisioned"):
-            store.sole_peer()
+            store.resolve(None)
         with pytest.raises(UnknownPeer, match="0 peers are provisioned"):
-            TrustStore({}).sole_peer()
-        assert TrustStore({"beta": store.get("beta")}).sole_peer() == "beta"
+            TrustStore({}).resolve(None)
+        assert TrustStore({"beta": store.get("beta")}).resolve(None) == "beta"
+        assert store.resolve("alpha") == "alpha"
+        with pytest.raises(UnknownPeer, match="peer 'nobody' is not provisioned"):
+            store.resolve("nobody")
 
     def test_roundtrip(self, rng, tmp_path):
         store = sample_store(rng)
@@ -144,6 +147,11 @@ class TestTrustStoreFormat:
             parse_trust_store("peer lonely\nexpect 0 40 16 " + "00" * 32)
         with pytest.raises(ParseError):
             parse_trust_store("peer lonely\nkey " + "00" * 32)
+
+    def test_expect_block_a_quote_cannot_encode(self):
+        with pytest.raises(ParseError, match="4 bytes") as exc:
+            parse_trust_store(f"peer big\nkey {'00' * 32}\nexpect 0 40 4294967296 {'00' * 32}")
+        assert exc.value.line == 3
 
     def test_unknown_directive(self):
         with pytest.raises(ParseError) as exc:

@@ -16,9 +16,11 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 import lrav
 from lrav import cli, transport
-from lrav.errors import ChannelClosed, ProtocolStateError
-from lrav.protocol import AbortReason, WireM1, WireM2, process_m2, produce_own_quote
-from lrav.runner import SessionResult, key_fingerprint, run_pair, run_responder
+from lrav.errors import ChannelClosed, ProtocolStateError, UnknownPeer
+from lrav.protocol import (
+    AbortReason, Phase, WireM1, WireM2, process_m2, produce_own_quote, respond_m1,
+)
+from lrav.runner import SessionResult, key_fingerprint, run_initiator, run_pair, run_responder
 
 from conftest import make_pair, provision_cli_pair, serve_and_attest
 
@@ -143,6 +145,7 @@ class ResetAfterM1:
 
     def __init__(self, m1: bytes):
         self.frames = [transport.Frame(transport.MSG_M1, m1)]
+        self.sent = []  # frame types whose send was attempted
 
     def recv_frame(self, timeout):
         if self.frames:
@@ -150,7 +153,24 @@ class ResetAfterM1:
         raise ChannelClosed("peer closed the connection")
 
     def send_frame(self, msg_type, payload):
+        self.sent.append(msg_type)
         raise ChannelClosed("[Errno 104] Connection reset by peer")
+
+
+class ResetOnSend:
+    """Initiator endpoint stub: beta answers each M1 at once; a send of `fails` resets."""
+
+    def __init__(self, dev_b, fails: int):
+        self.dev_b, self.fails, self.frames = dev_b, fails, []
+
+    def send_frame(self, msg_type, payload):
+        if msg_type == self.fails:
+            raise ChannelClosed("[Errno 104] Connection reset by peer")
+        _, m2 = respond_m1(self.dev_b, WireM1.unpack(payload), "alpha")
+        self.frames.append(transport.Frame(transport.MSG_M2, m2.pack()))
+
+    def recv_frame(self, timeout):
+        return self.frames.pop(0)
 
 
 def test_failed_m2_send_ends_only_that_session(device_pair, capsys):
@@ -158,8 +178,30 @@ def test_failed_m2_send_ends_only_that_session(device_pair, capsys):
     result = run_responder(dev_b, ResetAfterM1(valid_m1()), "alpha")
     assert not result.established and not result.timed_out and result.reason is None
     assert result.closed and "reset by peer" in result.error
+    assert result.state.phase is Phase.ABORTED and result.state.k is None
     assert cli._report(result, dev_b.device_id) == cli.EXIT_TRANSPORT
     assert capsys.readouterr().err.startswith("transport closed (")
+
+
+@pytest.mark.parametrize("fails", [transport.MSG_M1, transport.MSG_M3])
+def test_failed_initiator_send_ends_as_closed(device_pair, capsys, fails):
+    # a reset under M3 comes after process_m2 set Established: the key must not leak out
+    dev_a, dev_b = device_pair
+    result = run_initiator(dev_a, ResetOnSend(dev_b, fails), "beta")
+    assert not result.established and result.closed and "reset by peer" in result.error
+    assert result.state.phase is Phase.ABORTED and result.state.k is None
+    with pytest.raises(ProtocolStateError):
+        result.state.session_key()
+    assert cli._report(result, dev_a.device_id) == cli.EXIT_TRANSPORT
+    assert capsys.readouterr().err.startswith("transport closed (")
+
+
+def test_unprovisioned_peer_is_a_caller_error_for_the_responder(device_pair):
+    _, dev_b = device_pair
+    ep = ResetAfterM1(valid_m1())
+    with pytest.raises(UnknownPeer, match="'nobody' is not provisioned"):
+        run_responder(dev_b, ep, "nobody")
+    assert ep.sent == []  # no courtesy frame: the peer did nothing wrong
 
 
 def test_responder_deadline_covers_the_whole_session(device_pair):
@@ -395,6 +437,9 @@ class TestCli:
         digest = capsys.readouterr().out.strip()
         record = (tmp_path / "beta.trust").read_text()  # alpha's own record
         assert digest in record
+        with pytest.raises(SystemExit) as exc:  # measure opens no socket, so has no deadline
+            cli.main(["measure", "--profile", str(tmp_path / "alpha.json"), "--timeout", "1"])
+        assert exc.value.code == 2
 
     def test_serve_attest_loopback(self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
@@ -453,26 +498,32 @@ class TestCli:
         provision_cli_pair(tmp_path, rng, capsys)
         two = tmp_path / "two.trust"
         two.write_text((tmp_path / "alpha.trust").read_text() + (tmp_path / "beta.trust").read_text())
-        with refused_port() as port:  # the usage error comes before any connect
-            assert cli.main([
-                "attest", "--profile", str(tmp_path / "alpha.json"), "--trust", str(two),
-                "--addr", f"127.0.0.1:{port}", "--timeout", "0.3",
-            ]) == 2
-        assert "2 peers are provisioned" in capsys.readouterr().err
+        cases = ((two, [], "2 peers are provisioned"),
+                 (tmp_path / "alpha.trust", ["--peer", "nobody"], "'nobody' is not provisioned"))
+        for store, peer, message in cases:
+            with refused_port() as port:  # the usage error comes before any connect
+                assert cli.main([
+                    "attest", "--profile", str(tmp_path / "alpha.json"), "--trust", str(store),
+                    "--addr", f"127.0.0.1:{port}", "--timeout", "0.3", *peer,
+                ]) == 2
+            assert message in capsys.readouterr().err
 
     def test_serve_without_peer_needs_a_sole_peer(self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
         (tmp_path / "none.trust").write_text("")
         two = tmp_path / "two.trust"
         two.write_text((tmp_path / "alpha.trust").read_text() + (tmp_path / "beta.trust").read_text())
-        for store, count in ((tmp_path / "none.trust", 0), (two, 2)):
+        cases = ((tmp_path / "none.trust", [], "0 peers are provisioned"),
+                 (two, [], "2 peers are provisioned"),
+                 (tmp_path / "beta.trust", ["--peer", "nobody"], "'nobody' is not provisioned"))
+        for store, peer, message in cases:
             assert cli.main([
                 "serve", "--profile", str(tmp_path / "beta.json"), "--trust", str(store),
-                "--addr", "127.0.0.1:0", "--once", "--timeout", "0.3",
+                "--addr", "127.0.0.1:0", "--once", "--timeout", "0.3", *peer,
             ]) == 2
             captured = capsys.readouterr()
             assert "listening on" not in captured.out  # refused before it binds
-            assert f"{count} peers are provisioned" in captured.err
+            assert message in captured.err
 
     @pytest.mark.parametrize("name, command", [("alpha", "attest"), ("beta", "serve")])
     def test_out_of_range_port_is_a_usage_error(self, tmp_path, rng, capsys, name, command):
@@ -507,12 +558,15 @@ class TestCli:
         fw = tmp_path / "fw.bin"
         fw.write_bytes(rng.randbytes(4096))
         profile = tmp_path / "dev.json"
-        assert cli.main([
-            "provision", "--image", str(fw), "--id", "dev", "--profile", str(profile),
-            "--start", "80000000", "--end", "80000100",  # outside flash
-        ]) == 2
-        assert "not mapped" in capsys.readouterr().err
-        assert not profile.exists()
+        cases = ((["--start", "80000000", "--end", "80000100"], "not mapped"),  # outside flash
+                 (["--block", "4294967296"], "block size must fit in 4 bytes"))  # > a quote's field
+        for flags, message in cases:
+            assert cli.main([
+                "provision", "--image", str(fw), "--id", "dev", "--profile", str(profile), *flags,
+            ]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
+            assert not profile.exists()
 
     def test_attack_subcommand_single_scenario(self, capsys):
         assert cli.main(["attack", "--only", "qsk-read-attempt"]) == 0
