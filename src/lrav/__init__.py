@@ -19,7 +19,6 @@ from .provisioning import (
     load_profile,
     load_trust_store,
     save_profile,
-    save_trust_store,
 )
 from .quote import Quote, QuoteSigningKey, QuoteVerdict, sign_quote_gated, verify_quote
 from .runner import SessionResult, key_fingerprint, run_initiator, run_responder
@@ -53,7 +52,6 @@ __all__ = [
     "run_initiator",
     "run_responder",
     "save_profile",
-    "save_trust_store",
     "sign_quote_gated",
     "verify_quote",
 ]

@@ -100,19 +100,12 @@ def rom_boot(dev: DeviceState) -> None:
     dev.boot_complete = True
 
 
-def device_reset(dev: DeviceState, *, run_rom_boot: bool = True) -> DeviceState:
-    """CPU reset: release every PMP lock, zero SRAM, re-run boot ROM.
-
-    run_rom_boot=False models a device whose boot skipped the PMP lock step
-    (used to exercise the signing gate's refusal path).
-    """
+def device_reset(dev: DeviceState) -> DeviceState:
+    """CPU reset: release every PMP lock, zero SRAM, re-run boot ROM."""
     with dev.lock:
         dev.boot_complete = False
         dev.last_quote = None
         dev.bank.clear()
         dev.memory.zero_volatile()
-        if run_rom_boot:
-            rom_boot(dev)
-        else:
-            dev.boot_complete = True
+        rom_boot(dev)
     return dev

@@ -98,12 +98,6 @@ class TrustStore:
             raise UnknownPeer(f"peer {peer_id!r} is not provisioned")
         return peer_id
 
-    def peer_ids(self) -> list[str]:
-        return list(self._entries)
-
-    def items(self):
-        return self._entries.items()
-
     def canonical_text(self) -> str:
         blocks = [
             format_trust_record(peer_id, peer.verify_key, peer.expected)
@@ -198,10 +192,6 @@ def _hex_field(value: str, nbytes: int, lineno: int, what: str) -> bytes:
 
 def load_trust_store(path: str | Path) -> TrustStore:
     return parse_trust_store(Path(path).read_text())
-
-
-def save_trust_store(path: str | Path, store: TrustStore) -> None:
-    Path(path).write_text(store.canonical_text())
 
 
 # --- device profile ----------------------------------------------------------

@@ -177,10 +177,11 @@ def run_pair(
     b_hooks=(),
     timeout: float = transport.DEFAULT_TIMEOUT,
 ) -> tuple[SessionResult, SessionResult]:
-    """One handshake over an in-memory channel: B on a worker thread, A inline.
+    """One handshake over an in-process channel: B on a worker thread, A inline.
 
     Each hook becomes a send hook on that side's endpoint. Peer ids are the
-    devices' own ids. Returns (A's result, B's result).
+    devices' own ids. Both ends close once both roles are done. Returns
+    (A's result, B's result).
     """
     ep_a, ep_b = transport.channel_pair()
     for hook in a_hooks:
@@ -196,4 +197,6 @@ def run_pair(
         res_a = run_initiator(dev_a, ep_a, dev_b.device_id, timeout)
     finally:
         worker.join()
+        ep_a.close()
+        ep_b.close()
     return res_a, res_b[0]

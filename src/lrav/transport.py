@@ -1,4 +1,4 @@
-"""Length-prefixed framing plus in-memory and TCP byte-stream endpoints.
+"""Length-prefixed framing over byte-stream endpoints: TCP and in-process.
 
 Frame layout (all integers big-endian):
 
@@ -8,14 +8,14 @@ Frame layout (all integers big-endian):
     length  4 bytes  payload byte count, capped at 65536
     payload
 
-The in-memory channel mirrors TCP semantics (ordered, reliable, stream
-reassembly) and adds send-side hooks so tests can drop, duplicate, reorder,
-or mutate frames. Hooks are installed before a run starts, never mid-run.
+The in-process channel (`channel_pair`) is a `socket.socketpair()`, so it
+has the kernel's stream semantics, as TCP does. Any endpoint takes
+send-side hooks, so tests can drop, duplicate, reorder or mutate frames.
+Hooks are installed before a run starts, never mid-run.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import time
@@ -78,15 +78,30 @@ def decode_frame(data: bytes) -> tuple[Frame, bytes]:
     return Frame(msg_type, data[HEADER_BYTES:end]), data[end:]
 
 
-class _StreamEndpoint:
-    """Shared stream-reassembly logic over a byte-chunk source."""
+class TcpEndpoint:
+    """One side of a framed byte stream over a connected socket.
 
-    def __init__(self):
+    Send hooks see each encoded frame before it goes out and return the
+    frames to send in its place; with none installed a frame goes out as is.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
         self._rx = b""
+        self.send_hooks: list[FrameHook] = []
 
-    def _recv_chunk(self, timeout: float) -> bytes | None:
-        """Next chunk of bytes, or None if none arrives within `timeout` seconds."""
-        raise NotImplementedError
+    def add_send_hook(self, hook: FrameHook) -> None:
+        self.send_hooks.append(hook)
+
+    def send_frame(self, msg_type: int, payload: bytes) -> None:
+        frames = [encode_frame(msg_type, payload)]
+        for hook in self.send_hooks:
+            frames = [out for data in frames for out in hook(data)]
+        try:
+            for data in frames:
+                self._sock.sendall(data)
+        except OSError as exc:
+            raise ChannelClosed(str(exc)) from exc
 
     def recv_frame(self, timeout: float = DEFAULT_TIMEOUT) -> Frame:
         """Next frame; TransportTimeout unless all of it arrives within `timeout`.
@@ -108,69 +123,10 @@ class _StreamEndpoint:
             self._rx = rest
             return frame
 
-
-class MemoryEndpoint(_StreamEndpoint):
-    """One side of an in-memory duplex channel."""
-
-    def __init__(self, inbox: "queue.Queue[bytes | None]", outbox: "queue.Queue[bytes | None]"):
-        super().__init__()
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = False
-        self._peer_closed = False
-        self.send_hooks: list[FrameHook] = []
-
-    def add_send_hook(self, hook: FrameHook) -> None:
-        self.send_hooks.append(hook)
-
-    def send_frame(self, msg_type: int, payload: bytes) -> None:
-        if self._closed:
-            raise ChannelClosed("endpoint is closed")
-        frames = [encode_frame(msg_type, payload)]
-        for hook in self.send_hooks:
-            frames = [out for data in frames for out in hook(data)]
-        for data in frames:
-            self._outbox.put(data)
-
     def _recv_chunk(self, timeout: float) -> bytes | None:
-        if self._closed or self._peer_closed:
-            raise ChannelClosed("endpoint is closed")
+        """Next chunk of bytes, or None if none arrives within `timeout` seconds."""
         try:
-            chunk = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        if chunk is None:
-            self._peer_closed = True
-            raise ChannelClosed("peer closed the channel")
-        return chunk
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(None)
-
-
-def channel_pair() -> tuple[MemoryEndpoint, MemoryEndpoint]:
-    """Two connected endpoints with reliable ordered delivery."""
-    a_to_b: "queue.Queue[bytes | None]" = queue.Queue()
-    b_to_a: "queue.Queue[bytes | None]" = queue.Queue()
-    return MemoryEndpoint(b_to_a, a_to_b), MemoryEndpoint(a_to_b, b_to_a)
-
-
-class TcpEndpoint(_StreamEndpoint):
-    def __init__(self, sock: socket.socket):
-        super().__init__()
-        self._sock = sock
-
-    def send_frame(self, msg_type: int, payload: bytes) -> None:
-        try:
-            self._sock.sendall(encode_frame(msg_type, payload))
-        except OSError as exc:
-            raise ChannelClosed(str(exc)) from exc
-
-    def _recv_chunk(self, timeout: float) -> bytes | None:
-        self._sock.settimeout(timeout)
-        try:
+            self._sock.settimeout(timeout)
             chunk = self._sock.recv(4096)
         except socket.timeout:
             return None
@@ -185,6 +141,16 @@ class TcpEndpoint(_StreamEndpoint):
             self._sock.close()
         except OSError:
             pass
+
+
+class MemoryEndpoint(TcpEndpoint):
+    """One side of an in-process channel: a `socket.socketpair()` end."""
+
+
+def channel_pair() -> tuple[MemoryEndpoint, MemoryEndpoint]:
+    """Two connected in-process endpoints; the caller closes both."""
+    a, b = socket.socketpair()
+    return MemoryEndpoint(a), MemoryEndpoint(b)
 
 
 class TcpListener:

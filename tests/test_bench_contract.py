@@ -53,6 +53,8 @@ def test_honest_handshake_records_every_layer(tracing):
                 s.outcome = tracing.outcome_of(runner.run_initiator(dev_a, ep_a, "beta"))
             worker.join(timeout=10)
             assert not worker.is_alive()
+            ep_a.close()
+            ep_b.close()
     finally:
         tracer.uninstall()
     assert [s.outcome for s in tracer.sessions] == ["established"] * 4

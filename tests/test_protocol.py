@@ -9,6 +9,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X
 import lrav.protocol
 from lrav import quote
 from lrav.crtm import Measurement
+from lrav.device import mem_access
 from lrav.errors import (
     AuthenticationFailed,
     MalformedMessage,
@@ -17,6 +18,7 @@ from lrav.errors import (
     UnknownPeer,
     WeakPoint,
 )
+from lrav.pmp import Access
 from lrav.protocol import (
     AbortReason,
     Direction,
@@ -217,6 +219,32 @@ class TestFreshness:
         dev_a, _ = device_pair
         with pytest.raises(UnknownPeer):
             initiate(dev_a, "mallory")
+
+    @staticmethod
+    def established_then_flipped(dev_a, dev_b, flipped):
+        """One honest session, then one attested flash bit flipped on `flipped`."""
+        res_a, res_b = run_pair(dev_a, dev_b)
+        assert res_a.established and res_b.established
+        addr = flipped.attest_config.start_addr
+        byte = mem_access(flipped, Access.READ, addr, length=1)[0]
+        mem_access(flipped, Access.WRITE, addr, data=bytes([byte ^ 0x01]))
+
+    def test_flip_on_responder_after_a_session_is_seen(self, device_pair):
+        # the next session must measure again, not answer with the earlier quote
+        dev_a, dev_b = device_pair
+        self.established_then_flipped(dev_a, dev_b, dev_b)
+        res_a, res_b = run_pair(dev_a, dev_b)
+        assert (res_a.reason, res_a.peer_reported) == (AbortReason.MEASUREMENT_MISMATCH, False)
+        assert (res_b.reason, res_b.peer_reported) == (AbortReason.MEASUREMENT_MISMATCH, True)
+
+    def test_flip_on_initiator_after_a_session_is_seen(self, device_pair):
+        # M3 is the last flight: A has established before B's verdict, which
+        # A never hears
+        dev_a, dev_b = device_pair
+        self.established_then_flipped(dev_a, dev_b, dev_a)
+        res_a, res_b = run_pair(dev_a, dev_b)
+        assert (res_b.reason, res_b.peer_reported) == (AbortReason.MEASUREMENT_MISMATCH, False)
+        assert res_a.established
 
 
 class TestRespondM1:

@@ -40,7 +40,8 @@ class TestSigningGate:
 
     def test_gate_refuses_when_boot_skipped_locking(self, device_pair):
         dev, _ = device_pair
-        device_reset(dev, run_rom_boot=False)
+        device_reset(dev)
+        dev.bank.clear()  # a boot that skipped the lock step
         with pytest.raises(GateViolation):
             sign_quote_gated(dev, own_measurement(dev))
 
@@ -57,7 +58,8 @@ class TestSigningGate:
         reg = pmp.napot_addr_reg(dev.qsk_base, 64)
 
         def boot_with(config):
-            device_reset(dev, run_rom_boot=False)
+            device_reset(dev)
+            dev.bank.clear()  # a boot that skipped the lock step
             if config is not None:
                 pmp.configure(dev.bank, 0, config, reg)
 
@@ -91,7 +93,8 @@ class TestSigningGate:
 
     def test_transcript_signing_uses_same_gate(self, device_pair):
         dev, _ = device_pair
-        device_reset(dev, run_rom_boot=False)
+        device_reset(dev)
+        dev.bank.clear()  # a boot that skipped the lock step
         with pytest.raises(GateViolation):
             sign_transcript_gated(dev, bytes(32))
         device_reset(dev)
@@ -104,7 +107,8 @@ class TestQuoteSignatureReuse:
         dev, _ = device_pair
         m = own_measurement(dev)
         sign_quote_gated(dev, m)
-        device_reset(dev, run_rom_boot=False)
+        device_reset(dev)
+        dev.bank.clear()  # a boot that skipped the lock step
         assert dev.last_quote is None
         with pytest.raises(GateViolation):
             sign_quote_gated(dev, m)

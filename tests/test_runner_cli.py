@@ -214,6 +214,8 @@ def test_responder_deadline_covers_the_whole_session(device_pair):
     result = run_responder(dev_b, ep_b, "alpha", timeout=2.0)
     elapsed = time.monotonic() - start
     late.join()
+    ep_a.close()
+    ep_b.close()
     assert result.timed_out and result.state is not None  # M1 taken, M2 sent, no M3
     assert elapsed < 2.6, elapsed  # per-frame deadlines alone would hold it 3.2 s
 

@@ -1,5 +1,5 @@
-import queue
 import random
+import socket
 import threading
 import time
 
@@ -94,28 +94,35 @@ class TestFrameCodec:
 
 
 class TestMemoryChannel:
-    def test_roundtrip(self):
+    @pytest.fixture
+    def pair(self):
         a, b = channel_pair()
+        yield a, b
+        a.close()
+        b.close()
+
+    def test_roundtrip(self, pair):
+        a, b = pair
         a.send_frame(MSG_M1, b"ping")
         assert b.recv_frame(timeout=1.0) == (MSG_M1, b"ping")
         b.send_frame(MSG_M2, b"pong")
         assert a.recv_frame(timeout=1.0) == (MSG_M2, b"pong")
 
-    def test_drop_hook_times_out_receiver(self):
-        a, b = channel_pair()
+    def test_drop_hook_times_out_receiver(self, pair):
+        a, b = pair
         a.add_send_hook(lambda data: ())
         a.send_frame(MSG_M1, b"lost")
         with pytest.raises(TransportTimeout):
             b.recv_frame(timeout=0.05)
 
-    def test_duplicate_hook_delivers_twice(self):
-        a, b = channel_pair()
+    def test_duplicate_hook_delivers_twice(self, pair):
+        a, b = pair
         a.add_send_hook(lambda data: (data, data))
         a.send_frame(MSG_M1, b"twice")
         assert b.recv_frame(timeout=0.5).payload == b"twice"
         assert b.recv_frame(timeout=0.5).payload == b"twice"
 
-    def test_reorder_hook(self):
+    def test_reorder_hook(self, pair):
         held = []
 
         def hold_then_swap(data):
@@ -124,31 +131,38 @@ class TestMemoryChannel:
                 return ()
             return (data, held.pop())
 
-        a, b = channel_pair()
+        a, b = pair
         a.add_send_hook(hold_then_swap)
         a.send_frame(MSG_M1, b"first")
         a.send_frame(MSG_M2, b"second")
         assert b.recv_frame(timeout=0.5).payload == b"second"
         assert b.recv_frame(timeout=0.5).payload == b"first"
 
-    def test_mutate_hook_corrupts_payload(self):
+    def test_mutate_hook_corrupts_payload(self, pair):
         def flip(data):
             body = bytearray(data)
             body[-1] ^= 0xFF
             return (bytes(body),)
 
-        a, b = channel_pair()
+        a, b = pair
         a.add_send_hook(flip)
         a.send_frame(MSG_M1, b"\x00")
         assert b.recv_frame(timeout=0.5).payload == b"\xff"
 
-    def test_closed_channel(self):
-        a, b = channel_pair()
+    def test_closed_channel(self, pair):
+        a, b = pair
         a.close()
         with pytest.raises(ChannelClosed):
             a.send_frame(MSG_M1, b"late")
         with pytest.raises(ChannelClosed):
             b.recv_frame(timeout=0.5)
+
+    def test_send_after_peer_close_fails(self, pair):
+        # as over TCP, a frame the peer can no longer read is not sent silently
+        a, b = pair
+        b.close()
+        with pytest.raises(ChannelClosed):
+            a.send_frame(MSG_M1, b"unheard")
 
 
 class TestTcp:
@@ -192,8 +206,8 @@ class TestTcp:
 
 def test_recv_deadline_covers_the_whole_frame():
     # a peer dripping one byte per 0.1 s must not hold a 0.5 s receive open
-    inbox: "queue.Queue[bytes | None]" = queue.Queue()
-    ep = transport.MemoryEndpoint(inbox, queue.Queue())
+    mine, peer = socket.socketpair()
+    ep = transport.TcpEndpoint(mine)
     frame = encode_frame(MSG_M1, bytes(65))
     stop = threading.Event()
 
@@ -201,7 +215,7 @@ def test_recv_deadline_covers_the_whole_frame():
         for i in range(20):  # 2 s of drip, a fraction of the frame
             if stop.wait(0.1):
                 return
-            inbox.put(frame[i:i + 1])
+            peer.sendall(frame[i:i + 1])
 
     dripper = threading.Thread(target=drip)
     dripper.start()
@@ -213,4 +227,6 @@ def test_recv_deadline_covers_the_whole_frame():
     finally:
         stop.set()
         dripper.join(timeout=5)
+        ep.close()
+        peer.close()
     assert not dripper.is_alive()
