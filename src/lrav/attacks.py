@@ -35,7 +35,7 @@ from .protocol import (
     produce_own_quote,
     respond_m1,
 )
-from .provisioning import FLASH_BASE, provision_pair
+from .provisioning import FLASH_BASE, ROM_BASE, provision_pair
 from .quote import QUOTE_WIRE_BYTES
 from .runner import run_pair
 
@@ -96,6 +96,26 @@ def _initiator_verdict(dev_a: DeviceState, dev_b: DeviceState, **hooks) -> Verdi
     return Verdict(VerdictKind.ABORTED, res_a.reason)
 
 
+def _verdict(action: Callable, *args, **kwargs) -> Verdict:
+    """Run one adversary step: the detection it meets, or ESTABLISHED if none."""
+    try:
+        action(*args, **kwargs)
+    except LockedEntry:
+        return Verdict(VerdictKind.LOCKED_ENTRY)
+    except AccessFault:
+        return Verdict(VerdictKind.ACCESS_FAULT)
+    except ProtocolAbort as exc:
+        return Verdict(VerdictKind.ABORTED, exc.reason)
+    return Verdict(VerdictKind.ESTABLISHED)  # the attack succeeded: a failure
+
+
+def _open_session(dev_a: DeviceState, dev_b: DeviceState):
+    """M1 and M2 exchanged directly: (A's state, B's state, M1, M2)."""
+    st_a, m1 = initiate(dev_a, "beta")
+    st_b, m2 = respond_m1(dev_b, m1, "alpha")
+    return st_a, st_b, m1, m2
+
+
 # --- adversary actions ---------------------------------------------------------
 # Confinement rule: these touch devices only through mem_access / pmp.configure
 # in the untrusted context, transport hooks, and public protocol functions.
@@ -104,29 +124,17 @@ def _adv_rewrite_qsk_pmp(dev: DeviceState) -> Verdict:
     """[A1] try to retarget the locked QSK PMP entry at the attacker's memory."""
     grabby = pmp.PmpConfig(read=True, write=True, execute=True,
                            addr_mode=pmp.AddrMode.NAPOT, lock=False)
-    try:
-        pmp.configure(dev.bank, 0, grabby, pmp.napot_addr_reg(0x2000_0000, 64))
-    except LockedEntry:
-        return Verdict(VerdictKind.LOCKED_ENTRY)
-    return Verdict(VerdictKind.ESTABLISHED)  # attack succeeded: failure
+    return _verdict(pmp.configure, dev.bank, 0, grabby, pmp.napot_addr_reg(0x2000_0000, 64))
 
 
 def _adv_read_qsk(dev: DeviceState) -> Verdict:
     """[G2] read the signing-key window from untrusted machine mode."""
-    try:
-        mem_access(dev, pmp.Access.READ, dev.qsk_base, length=32)
-    except AccessFault:
-        return Verdict(VerdictKind.ACCESS_FAULT)
-    return Verdict(VerdictKind.ESTABLISHED)
+    return _verdict(mem_access, dev, pmp.Access.READ, dev.qsk_base, length=32)
 
 
 def _adv_write_rom(dev: DeviceState) -> Verdict:
     """[G1] overwrite the expected-measurement store held in ROM."""
-    try:
-        mem_access(dev, pmp.Access.WRITE, 0x1000, data=b"peer mallory")
-    except AccessFault:
-        return Verdict(VerdictKind.ACCESS_FAULT)
-    return Verdict(VerdictKind.ESTABLISHED)
+    return _verdict(mem_access, dev, pmp.Access.WRITE, ROM_BASE, data=b"peer mallory")
 
 
 def _adv_tamper_firmware(dev: DeviceState, rng: random.Random) -> None:
@@ -166,16 +174,11 @@ def _adv_splice_m3(dev_a, dev_b, old_inner: bytes) -> Verdict:
     cannot make B accept the stale signature: both nonces and both DH points
     are inside the signed transcript.
     """
-    st_a, m1 = initiate(dev_a, "beta")
-    st_b, m2 = respond_m1(dev_b, m1, "alpha")
+    st_a, st_b, _m1, m2 = _open_session(dev_a, dev_b)
     st_a, _m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
     n_a, n_b = st_a.nonces()
     forged = ae_seal(st_a.k, Direction.M3, n_a, n_b, old_inner)
-    try:
-        process_m3(dev_b, st_b, WireM3(forged))
-    except ProtocolAbort as exc:
-        return Verdict(VerdictKind.ABORTED, exc.reason)
-    return Verdict(VerdictKind.ESTABLISHED)
+    return _verdict(process_m3, dev_b, st_b, WireM3(forged))
 
 
 def _adv_swap_point(dev_a, dev_b) -> Verdict:
@@ -185,8 +188,7 @@ def _adv_swap_point(dev_a, dev_b) -> Verdict:
     point) and is even granted B's plaintext, yet the transcript signature
     pins the original q_B.
     """
-    st_a, m1 = initiate(dev_a, "beta")
-    st_b, m2 = respond_m1(dev_b, m1, "alpha")
+    st_a, st_b, m1, m2 = _open_session(dev_a, dev_b)
     attacker = X25519PrivateKey.generate()
     attacker_point = attacker.public_key().public_bytes_raw()
     n_a, n_b = st_b.nonces()
@@ -195,11 +197,7 @@ def _adv_swap_point(dev_a, dev_b) -> Verdict:
         attacker.exchange(X25519PublicKey.from_public_bytes(m1.point)), n_a, n_b
     )
     forged = WireM2(m2.nonce, attacker_point, ae_seal(k_prime, Direction.M2, n_a, n_b, inner))
-    try:
-        process_m2(dev_a, st_a, forged, produce_own_quote(dev_a))
-    except ProtocolAbort as exc:
-        return Verdict(VerdictKind.ABORTED, exc.reason)
-    return Verdict(VerdictKind.ESTABLISHED)
+    return _verdict(process_m2, dev_a, st_a, forged, produce_own_quote(dev_a))
 
 
 # --- scenario runners -----------------------------------------------------------
@@ -261,8 +259,7 @@ def _scn_m2_replay(rng):
 
 def _scn_m3_splice(rng):
     dev_a, dev_b = _honest_pair(rng)
-    st_a, m1 = initiate(dev_a, "beta")
-    st_b, m2 = respond_m1(dev_b, m1, "alpha")
+    st_a, st_b, _m1, m2 = _open_session(dev_a, dev_b)
     st_a, m3 = process_m2(dev_a, st_a, m2, produce_own_quote(dev_a))
     process_m3(dev_b, st_b, m3)
     n_a, n_b = st_a.nonces()

@@ -1,10 +1,10 @@
 """Scaling benchmarks: CRTM measurement time and work.
 
 Absolute numbers are host-dependent; the properties of interest are ratios:
-time is linear in attested bytes (2x memory -> 2x time), the byte work
-counter is exactly linear, and block size has only a small effect. Samples
-for all configurations are collected interleaved within each iteration so
-clock-speed drift hits every configuration equally.
+time is linear in attested bytes (2x memory -> 2x time), the work (attested
+bytes hashed) is exactly linear, and block size has only a small effect.
+Samples for all configurations are collected interleaved within each
+iteration so clock-speed drift hits every configuration equally.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .crtm import AttestationConfig, WorkCounter, measure
+from .crtm import AttestationConfig, measure
 from .memory import MemoryImage, Region, RegionKind
 from .provisioning import FLASH_BASE
 
@@ -53,10 +53,8 @@ def crtm_bench(
     combos = [(size, block) for size in sizes for block in blocks]
     samples = {}
     for size, block in combos:
-        counter = WorkCounter()
-        config = AttestationConfig(FLASH_BASE, FLASH_BASE + size, block)
-        measure(images[size], config, counter)  # warm-up; also fixes the work count
-        samples[(size, block)] = CrtmSample(size, block, [], counter.bytes_hashed)
+        measure(images[size], AttestationConfig(FLASH_BASE, FLASH_BASE + size, block))  # warm-up
+        samples[(size, block)] = CrtmSample(size, block, [], size)  # work: the attested bytes
     for _ in range(iters):
         for size, block in combos:
             config = AttestationConfig(FLASH_BASE, FLASH_BASE + size, block)

@@ -22,14 +22,14 @@ from . import attacks, bench, transport
 from .crtm import AttestationConfig, measure
 from .device import DeviceState
 from .errors import LravError, TransportTimeout
-from .memory import MemoryImage, Region, RegionKind
+from .memory import MemoryImage
 from .provisioning import (
     FLASH_BASE,
     DeviceProfile,
-    MemoryLayout,
     TrustStore,
     build_device,
     compute_expected,
+    flash_region,
     format_trust_record,
     gen_identity,
     load_profile,
@@ -127,14 +127,10 @@ def cmd_provision(args) -> int:
         device_id=args.id,
         qsk_seed=key.rom_bytes()[:32],
         attest=attest,
-        layout=MemoryLayout(),
         firmware=str(image_path.resolve()),
     )
-    image = MemoryImage([
-        Region(profile.layout.flash_base, RegionKind.FLASH,
-               bytearray(firmware) + bytearray(profile.layout.flash_size - len(firmware))),
-    ])
-    expected = compute_expected(image, attest)  # before the secret seed reaches disk
+    # before the secret seed reaches disk
+    expected = compute_expected(MemoryImage([flash_region(firmware)]), attest)
     profile_path = Path(args.profile or f"{args.id}.profile.json")
     save_profile(profile_path, profile)
     _eprint(f"wrote device profile (contains the secret signing seed): {profile_path}")

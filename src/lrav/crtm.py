@@ -78,20 +78,6 @@ class Measurement:
         return cls(data[_CONFIG_STRUCT.size:], AttestationConfig(start, end, block))
 
 
-class WorkCounter:
-    """Counts attested-memory bytes fed to the hashing core.
-
-    Chaining digests are construction overhead, not attested bytes, so the
-    count is exactly linear in the range length.
-    """
-
-    def __init__(self):
-        self.bytes_hashed = 0
-
-    def add(self, n: int) -> None:
-        self.bytes_hashed += n
-
-
 def _py_chained_digest(data: bytes, block: int) -> bytes:
     sha3 = hashlib.sha3_256
     n = len(data)
@@ -105,38 +91,24 @@ def _py_chained_digest(data: bytes, block: int) -> bytes:
     return digest
 
 
-def _read_attested(image: MemoryImage, config: AttestationConfig):
-    """Buffer over [start, end); the range may span contiguous regions.
+def _read_attested(image: MemoryImage, config: AttestationConfig) -> memoryview:
+    """Read-only view of [start, end), which must lie inside one region (no copy).
 
-    The common single-region case returns a read-only view into the image
-    (no copy): large-copy allocations would otherwise dominate the timings
-    the benchmarks assert. Multi-region ranges are joined into fresh bytes.
+    Large-copy allocations would otherwise dominate the timings the
+    benchmarks assert.
     """
-    chunks = []
-    addr = config.start_addr
-    while addr < config.end_addr:
-        try:
-            region = image.region_at(addr)
-        except OutOfRange as exc:
-            raise InvalidRange(str(exc)) from exc
-        take = min(config.end_addr, region.end) - addr
-        off = addr - region.base
-        chunks.append(memoryview(region.data).toreadonly()[off:off + take])
-        addr += take
-    if len(chunks) == 1:
-        return chunks[0]
-    return b"".join(chunks)
+    length = config.end_addr - config.start_addr
+    try:
+        region = image.region_for(config.start_addr, length)
+    except OutOfRange as exc:
+        raise InvalidRange(str(exc)) from exc
+    off = config.start_addr - region.base
+    return memoryview(region.data).toreadonly()[off:off + length]
 
 
-def measure(
-    image: MemoryImage,
-    config: AttestationConfig,
-    counter: WorkCounter | None = None,
-) -> Measurement:
+def measure(image: MemoryImage, config: AttestationConfig) -> Measurement:
     """Compute the chained digest of the configured range (trusted ROM path)."""
     data = _read_attested(image, config)
-    if counter is not None:
-        counter.add(len(data))
     if _chained_sha3_256 is not None:
         digest = _chained_sha3_256(data, config.block_size)
     else:

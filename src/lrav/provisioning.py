@@ -17,13 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import secrets
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import crtm
-from .device import QSK_REGION_SIZE, DeviceState, device_reset
+from .device import DeviceState, device_reset
 from .errors import DuplicatePeer, InsufficientEntropy, InvalidRange, ParseError, UnknownPeer
 from .memory import MemoryImage, Region, RegionKind
 from .pmp import PmpBank
@@ -32,6 +32,8 @@ from .quote import QuoteSigningKey
 MIN_ENTROPY_BYTES = 32
 MAX_PEER_ID_BYTES = 64
 
+# The one memory map of every device: ROM (trust store, then the QSK window
+# near its end), flash holding the firmware, and SRAM.
 ROM_BASE = 0x0000_1000
 ROM_SIZE = 16 * 1024
 FLASH_BASE = 0x2000_0000
@@ -39,6 +41,12 @@ FLASH_SIZE = 4 * 1024 * 1024
 SRAM_BASE = 0x8000_0000
 SRAM_SIZE = 16 * 1024
 QSK_BASE = ROM_BASE + ROM_SIZE - 0x100  # 64-byte aligned window near the end of ROM
+# the "memory" section earlier versions wrote into every profile
+_MEMORY_MAP = {
+    "rom_base": ROM_BASE, "rom_size": ROM_SIZE, "flash_base": FLASH_BASE,
+    "flash_size": FLASH_SIZE, "sram_base": SRAM_BASE, "sram_size": SRAM_SIZE,
+    "qsk_base": QSK_BASE,
+}
 
 
 def gen_identity(seed_entropy: bytes | None = None) -> QuoteSigningKey:
@@ -197,31 +205,10 @@ def load_trust_store(path: str | Path) -> TrustStore:
 # --- device profile ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class MemoryLayout:
-    rom_base: int = ROM_BASE
-    rom_size: int = ROM_SIZE
-    flash_base: int = FLASH_BASE
-    flash_size: int = FLASH_SIZE
-    sram_base: int = SRAM_BASE
-    sram_size: int = SRAM_SIZE
-    qsk_base: int = QSK_BASE
-
-    def __post_init__(self):
-        if self.qsk_base % QSK_REGION_SIZE:
-            raise ValueError(f"qsk_base must be {QSK_REGION_SIZE}-byte aligned")
-        if not (
-            self.rom_base <= self.qsk_base
-            and self.qsk_base + QSK_REGION_SIZE <= self.rom_base + self.rom_size
-        ):
-            raise ValueError("qsk window must sit inside the rom region")
-
-
-@dataclass(frozen=True)
 class DeviceProfile:
     device_id: str
     qsk_seed: bytes
     attest: crtm.AttestationConfig
-    layout: MemoryLayout = MemoryLayout()
     firmware: str | None = None  # path, resolved relative to the profile file
 
     def __post_init__(self):
@@ -238,7 +225,6 @@ def save_profile(path: str | Path, profile: DeviceProfile) -> None:
             "end": hex(profile.attest.end_addr),
             "block": profile.attest.block_size,
         },
-        "memory": {f.name: hex(getattr(profile.layout, f.name)) for f in fields(MemoryLayout)},
         "firmware": profile.firmware,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -252,22 +238,29 @@ def load_profile(path: str | Path) -> DeviceProfile:
             int(doc["attest"]["end"], 0),
             int(doc["attest"]["block"]),
         )
-        mem = doc.get("memory", {})  # a missing key keeps its default
-        layout = MemoryLayout(
-            **{f.name: int(mem[f.name], 0) for f in fields(MemoryLayout) if f.name in mem}
-        )
+        for name, value in doc.get("memory", {}).items():
+            if _MEMORY_MAP.get(name) != int(value, 0):
+                raise ValueError(f"memory {name}={value} is not the fixed memory map")
         return DeviceProfile(
             device_id=doc["device_id"],
             qsk_seed=bytes.fromhex(doc["qsk_seed"]),
             attest=attest,
-            layout=layout,
             firmware=doc.get("firmware"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad device profile {path}: {exc}") from exc
 
 
 # --- device construction ------------------------------------------------------
+
+def flash_region(firmware: bytes) -> Region:
+    """Flash at FLASH_BASE holding `firmware`, zero-padded to FLASH_SIZE."""
+    if len(firmware) > FLASH_SIZE:
+        raise ValueError(f"firmware ({len(firmware)} bytes) exceeds flash size")
+    flash = bytearray(FLASH_SIZE)
+    flash[:len(firmware)] = firmware
+    return Region(FLASH_BASE, RegionKind.FLASH, flash)
+
 
 def build_device(
     profile: DeviceProfile,
@@ -279,27 +272,21 @@ def build_device(
     ROM holds the trust store's canonical text followed by the QSK window;
     firmware is mapped at the flash base; SRAM starts zeroed.
     """
-    layout = profile.layout
-    if len(firmware) > layout.flash_size:
-        raise ValueError(f"firmware ({len(firmware)} bytes) exceeds flash size")
-    flash = bytearray(layout.flash_size)
-    flash[:len(firmware)] = firmware
     image = MemoryImage([
-        Region(layout.rom_base, RegionKind.ROM, bytearray(layout.rom_size)),
-        Region(layout.flash_base, RegionKind.FLASH, flash),
-        Region(layout.sram_base, RegionKind.SRAM, bytearray(layout.sram_size)),
+        Region(ROM_BASE, RegionKind.ROM, bytearray(ROM_SIZE)),
+        flash_region(firmware),
+        Region(SRAM_BASE, RegionKind.SRAM, bytearray(SRAM_SIZE)),
     ])
 
     store_bytes = trust.canonical_text().encode()
-    store_capacity = profile.layout.qsk_base - layout.rom_base
-    if len(store_bytes) > store_capacity:
+    if len(store_bytes) > QSK_BASE - ROM_BASE:
         raise ValueError(f"trust store ({len(store_bytes)} bytes) does not fit in rom")
-    image.load_rom(layout.rom_base, store_bytes)
+    image.load_rom(ROM_BASE, store_bytes)
 
     identity = QuoteSigningKey(profile.qsk_seed)
-    image.load_rom(layout.qsk_base, identity.rom_bytes())
+    image.load_rom(QSK_BASE, identity.rom_bytes())
 
-    crtm._read_attested(image, profile.attest)  # InvalidRange unless fully mapped
+    crtm._read_attested(image, profile.attest)  # InvalidRange unless inside one region
     dev = DeviceState(
         device_id=profile.device_id,
         memory=image,
@@ -307,8 +294,8 @@ def build_device(
         identity=identity,
         trust=trust,
         attest_config=profile.attest,
-        qsk_base=layout.qsk_base,
-        sram_base=layout.sram_base,
+        qsk_base=QSK_BASE,
+        sram_base=SRAM_BASE,
     )
     return device_reset(dev)
 

@@ -7,9 +7,10 @@ import pytest
 
 from lrav import crtm
 from lrav.crtm import (
-    AttestationConfig, Measurement, WorkCounter, _py_chained_digest, measure, measurement_equals,
+    AttestationConfig, Measurement, _py_chained_digest, measure, measurement_equals,
 )
 from lrav.errors import InvalidRange
+from lrav.memory import MemoryImage, Region, RegionKind
 from lrav.provisioning import FLASH_BASE
 
 from conftest import flash_image
@@ -76,21 +77,24 @@ class TestSensitivity:
             assert measure(flash_image(bytes(firmware)), config).digest == baseline
 
 
-class TestWorkCounter:
-    def test_counts_attested_bytes_exactly(self, rng):
-        for size in (64 * 1024, 128 * 1024):
-            counter = WorkCounter()
-            config = AttestationConfig(FLASH_BASE, FLASH_BASE + size, 1024)
-            measure(flash_image(bytes(size)), config, counter)
-            assert counter.bytes_hashed == size
+class TestAttestedRange:
+    def test_range_must_lie_inside_one_region(self):
+        # two regions that meet at FLASH_BASE + 4096: each measures alone
+        image = MemoryImage([
+            Region(FLASH_BASE, RegionKind.FLASH, bytearray(4096)),
+            Region(FLASH_BASE + 4096, RegionKind.FLASH, bytearray(4096)),
+        ])
+        measure(image, AttestationConfig(FLASH_BASE, FLASH_BASE + 4096, 1024))
+        measure(image, AttestationConfig(FLASH_BASE + 4096, FLASH_BASE + 8192, 1024))
+        for start, end in ((FLASH_BASE + 2048, FLASH_BASE + 6144),  # across the seam
+                           (FLASH_BASE + 4096, FLASH_BASE + 8193)):  # past the end
+            with pytest.raises(InvalidRange, match="crosses a region boundary"):
+                measure(image, AttestationConfig(start, end, 1024))
 
-    def test_linear_in_range_length(self):
-        c64, c128 = WorkCounter(), WorkCounter()
-        measure(flash_image(bytes(128 * 1024)),
-                AttestationConfig(FLASH_BASE, FLASH_BASE + 64 * 1024, 1024), c64)
-        measure(flash_image(bytes(128 * 1024)),
-                AttestationConfig(FLASH_BASE, FLASH_BASE + 128 * 1024, 1024), c128)
-        assert c128.bytes_hashed == 2 * c64.bytes_hashed
+    def test_reads_the_image_without_a_copy(self):
+        image = flash_image(bytes(4096))
+        view = crtm._read_attested(image, AttestationConfig(FLASH_BASE + 1, FLASH_BASE + 9, 4))
+        assert view.readonly and view.obj is image.regions[0].data and len(view) == 8
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import threading
 import types
 
 import pytest
@@ -245,6 +246,53 @@ class TestFreshness:
         res_a, res_b = run_pair(dev_a, dev_b)
         assert (res_b.reason, res_b.peer_reported) == (AbortReason.MEASUREMENT_MISMATCH, False)
         assert res_a.established
+
+    def test_session_asking_during_an_older_measurement_measures_again(
+        self, device_pair, monkeypatch
+    ):
+        # B of session 1 has digested its memory and is held; one attested bit
+        # of B flips; B of session 2 asks for a quote; then session 1 goes on.
+        # Session 1 reports the memory it read; session 2 must read it again.
+        dev_a, dev_b = device_pair
+        measured, asked, release = threading.Event(), threading.Event(), threading.Event()
+        real_measure, real_quote = lrav.protocol.measure, lrav.protocol.produce_own_quote
+
+        def held_measure(image, config):
+            result = real_measure(image, config)
+            if image is dev_b.memory and not measured.is_set():
+                measured.set()
+                assert release.wait(5.0)
+            return result
+
+        def noted_quote(dev):
+            if dev is dev_b and measured.is_set():  # session 2's B asks
+                asked.set()
+            return real_quote(dev)
+
+        monkeypatch.setattr(lrav.protocol, "measure", held_measure)
+        monkeypatch.setattr(lrav.protocol, "produce_own_quote", noted_quote)
+        results = {}
+        first, second = (
+            threading.Thread(target=lambda n=n: results.update({n: run_pair(dev_a, dev_b)}))
+            for n in (1, 2)
+        )
+        first.start()
+        try:
+            assert measured.wait(5.0)
+            addr = dev_b.attest_config.start_addr
+            byte = mem_access(dev_b, Access.READ, addr, length=1)[0]
+            mem_access(dev_b, Access.WRITE, addr, data=bytes([byte ^ 0x01]))
+            second.start()
+            assert asked.wait(5.0)
+        finally:
+            release.set()
+            for thread in (first, second):
+                if thread.ident is not None:
+                    thread.join()
+        assert results[1][0].established and results[1][1].established
+        res_a, res_b = results[2]
+        assert (res_a.reason, res_a.peer_reported) == (AbortReason.MEASUREMENT_MISMATCH, False)
+        assert (res_b.reason, res_b.peer_reported) == (AbortReason.MEASUREMENT_MISMATCH, True)
 
 
 class TestRespondM1:

@@ -1,11 +1,13 @@
+import json
+
 import pytest
 
 from lrav.crtm import AttestationConfig
 from lrav.errors import AccessFault, DuplicatePeer, InsufficientEntropy, ParseError, UnknownPeer
 from lrav.provisioning import (
     FLASH_BASE,
+    FLASH_SIZE,
     DeviceProfile,
-    MemoryLayout,
     TrustStore,
     TrustedPeer,
     build_device,
@@ -180,11 +182,47 @@ class TestProfile:
         with pytest.raises(ValueError):
             load_profile(path)
 
-    def test_layout_validation(self):
-        with pytest.raises(ValueError):
-            MemoryLayout(qsk_base=0x1001)  # misaligned
-        with pytest.raises(ValueError):
-            MemoryLayout(qsk_base=0x9000_0000)  # outside rom
+    def test_saved_profile_has_no_memory_map(self, tmp_path):
+        path = tmp_path / "gamma.json"
+        save_profile(path, DeviceProfile(
+            "gamma", b"\x09" * 32, AttestationConfig(FLASH_BASE, FLASH_BASE + 64, 64)))
+        assert set(json.loads(path.read_text())) == {"device_id", "qsk_seed", "attest", "firmware"}
+
+    # the "memory" section every profile carried before the map was fixed
+    FIXED_MAP = {
+        "rom_base": "0x1000", "rom_size": "0x4000", "flash_base": "0x20000000",
+        "flash_size": "0x400000", "sram_base": "0x80000000", "sram_size": "0x4000",
+        "qsk_base": "0x4f00",
+    }
+
+    def profile_with_memory(self, tmp_path, memory):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "device_id": "old", "qsk_seed": "09" * 32,
+            "attest": {"start": "0x20000000", "end": "0x20001000", "block": 1024},
+            "memory": memory, "firmware": None,
+        }))
+        return path
+
+    def test_old_profile_with_the_fixed_map_loads(self, tmp_path):
+        path = self.profile_with_memory(tmp_path, self.FIXED_MAP)
+        assert load_profile(path) == DeviceProfile(
+            "old", b"\x09" * 32, AttestationConfig(FLASH_BASE, FLASH_BASE + 0x1000, 1024))
+
+    @pytest.mark.parametrize("name, value", [
+        ("qsk_base", "0x4f40"), ("flash_size", "0x400"), ("sram_base", "0x90000000"),
+        ("ram_base", "0x0"),
+    ])
+    def test_profile_with_another_memory_map_is_refused(self, tmp_path, name, value):
+        path = self.profile_with_memory(tmp_path, {**self.FIXED_MAP, name: value})
+        with pytest.raises(ValueError, match=f"memory {name}={value} is not the fixed memory map"):
+            load_profile(path)
+
+
+    def test_memory_section_that_is_not_a_map_is_a_bad_profile(self, tmp_path):
+        for memory in (None, ["rom_base"], {"rom_base": 4096}):
+            with pytest.raises(ValueError, match="bad device profile"):
+                load_profile(self.profile_with_memory(tmp_path, memory))
 
 
 class TestBuiltDeviceRom:
@@ -208,7 +246,6 @@ class TestBuiltDeviceRom:
             device_id="tiny",
             qsk_seed=b"\x01" * 32,
             attest=AttestationConfig(FLASH_BASE, FLASH_BASE + 1024, 256),
-            layout=MemoryLayout(flash_size=1024),
         )
         store = TrustStore({
             "peer": TrustedPeer(
@@ -219,5 +256,5 @@ class TestBuiltDeviceRom:
                 ),),
             )
         })
-        with pytest.raises(ValueError):
-            build_device(profile, store, bytes(2048))
+        with pytest.raises(ValueError, match="exceeds flash size"):
+            build_device(profile, store, bytes(FLASH_SIZE + 1))

@@ -20,6 +20,7 @@ from lrav.errors import ChannelClosed, ProtocolStateError, UnknownPeer
 from lrav.protocol import (
     AbortReason, Phase, WireM1, WireM2, process_m2, produce_own_quote, respond_m1,
 )
+from lrav.provisioning import FLASH_SIZE
 from lrav.runner import SessionResult, key_fingerprint, run_initiator, run_pair, run_responder
 
 from conftest import make_pair, provision_cli_pair, serve_and_attest
@@ -569,6 +570,17 @@ class TestCli:
             captured = capsys.readouterr()
             assert message in captured.err and captured.out == ""
             assert not profile.exists()
+
+    def test_oversized_firmware_is_named_and_writes_no_profile(self, tmp_path, capsys):
+        fw = tmp_path / "fw.bin"
+        fw.write_bytes(bytes(FLASH_SIZE + 1))
+        profile = tmp_path / "dev.json"
+        assert cli.main([
+            "provision", "--image", str(fw), "--id", "dev", "--profile", str(profile),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: firmware ({FLASH_SIZE + 1} bytes) exceeds flash size\n"
+        assert captured.out == "" and not profile.exists()
 
     def test_attack_subcommand_single_scenario(self, capsys):
         assert cli.main(["attack", "--only", "qsk-read-attempt"]) == 0
