@@ -23,7 +23,6 @@ MIB = 1024 * 1024
 
 CRTM_SIZES = [1 * KIB << i for i in range(13)]  # 1 KiB .. 4 MiB doubling
 CRTM_BLOCKS = [1 * KIB, 2 * KIB, 4 * KIB]
-DEFAULT_ITERS = 20
 
 
 @dataclass
@@ -43,9 +42,9 @@ def _flash_image(size: int) -> MemoryImage:
 
 
 def crtm_bench(
+    iters: int,
     sizes: list[int] | None = None,
     blocks: list[int] | None = None,
-    iters: int = DEFAULT_ITERS,
 ) -> list[CrtmSample]:
     sizes = sizes or CRTM_SIZES
     blocks = blocks or CRTM_BLOCKS

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import threading
 import time
@@ -18,7 +19,7 @@ import traceback
 from pathlib import Path
 from typing import NoReturn
 
-from . import attacks, bench, transport
+from . import transport
 from .crtm import AttestationConfig, measure
 from .device import DeviceState
 from .errors import LravError, TransportTimeout
@@ -47,6 +48,7 @@ EXIT_TRANSPORT = 3
 # no benchmark workload yet opens more than 2 connections at once.
 SERVE_WORKERS = 8
 ACCEPT_RETRY_S = 0.1  # back-off after a failed accept
+BENCH_ITERS = 20  # `lrav bench` iterations without --iters
 
 _OUTPUT_LOCK = threading.Lock()
 
@@ -63,7 +65,10 @@ def _eprint(line: str) -> None:
 
 
 def _parse_addr(value: str) -> tuple[str, int]:
+    """HOST:PORT, or [IPV6]:PORT with the brackets stripped."""
     host, _, port = value.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValueError(f"address must be HOST:PORT with PORT 0-65535, got {value!r}")
     return host, int(port)
@@ -79,14 +84,12 @@ def _attest_override(args, default: AttestationConfig) -> AttestationConfig:
 def _load_device(args) -> DeviceState:
     profile = load_profile(args.profile)
     trust = load_trust_store(args.trust) if args.trust else TrustStore({})
-    firmware = b""
-    if profile.firmware:
-        fw_path = Path(profile.firmware)
-        if not fw_path.is_absolute():
-            fw_path = Path(args.profile).parent / fw_path
-        firmware = fw_path.read_bytes()
-    profile = dataclasses.replace(profile, attest=_attest_override(args, profile.attest))
-    return build_device(profile, trust, firmware)
+    fw_path = os.devnull  # no image: flash stays blank
+    if profile.firmware:  # relative to the profile; an absolute path stays as is
+        fw_path = Path(args.profile).parent / profile.firmware
+    with open(fw_path, "rb") as firmware:  # read straight into flash
+        profile = dataclasses.replace(profile, attest=_attest_override(args, profile.attest))
+        return build_device(profile, trust, firmware)
 
 
 def _report(result: SessionResult, device_id: str) -> int:
@@ -114,15 +117,17 @@ def cmd_provision(args) -> int:
     if not image_path.is_file():
         _eprint(f"firmware image not found: {image_path}")
         return EXIT_USAGE
-    firmware = image_path.read_bytes()
-    if not firmware:
-        _eprint("firmware image is empty")
-        return EXIT_USAGE
-    entropy = bytes.fromhex(args.seed) if args.seed else None
-    key = gen_identity(entropy)
+    with open(image_path, "rb") as firmware:
+        size = os.fstat(firmware.fileno()).st_size
+        if not size:
+            _eprint("firmware image is empty")
+            return EXIT_USAGE
+        entropy = bytes.fromhex(args.seed) if args.seed else None
+        key = gen_identity(entropy)
 
-    default = AttestationConfig(FLASH_BASE, FLASH_BASE + len(firmware), args.block or 1024)
-    attest = _attest_override(args, default)
+        default = AttestationConfig(FLASH_BASE, FLASH_BASE + size, args.block or 1024)
+        attest = _attest_override(args, default)
+        flash = flash_region(firmware)  # read straight into flash
     profile = DeviceProfile(
         device_id=args.id,
         qsk_seed=key.rom_bytes()[:32],
@@ -130,7 +135,7 @@ def cmd_provision(args) -> int:
         firmware=str(image_path.resolve()),
     )
     # before the secret seed reaches disk
-    expected = compute_expected(MemoryImage([flash_region(firmware)]), attest)
+    expected = compute_expected(MemoryImage([flash]), attest)
     profile_path = Path(args.profile or f"{args.id}.profile.json")
     save_profile(profile_path, profile)
     _eprint(f"wrote device profile (contains the secret signing seed): {profile_path}")
@@ -197,8 +202,8 @@ def cmd_serve(args) -> int:
         return _report(result, dev.device_id)
 
     try:
-        bound = listener.address
-        print(f"listening on {bound[0]}:{bound[1]}", flush=True)
+        host, port = listener.address
+        print(f"listening on {f'[{host}]' if ':' in host else host}:{port}", flush=True)
         if args.once:
             return handle(listener.accept(timeout=args.timeout))
         for _ in range(SERVE_WORKERS - 1 if args.parallel else 0):
@@ -214,7 +219,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    iters = args.iters or bench.DEFAULT_ITERS
+    # imported here, as in cmd_attack, so that `serve` and `attest` do not
+    # load (and, without bytecode caching, compile) what they never run
+    from . import bench
+
+    iters = args.iters or BENCH_ITERS
     samples = bench.crtm_bench(iters=iters)
     if args.format == "csv":
         print(bench.format_csv(samples), flush=True)
@@ -224,6 +233,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from . import attacks  # see cmd_bench
+
     scenarios = attacks.catalog()
     if args.only:
         scenarios = [s for s in scenarios if s.name == args.only]
@@ -307,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attest)
 
     p = sub.add_parser("bench", help="CRTM scaling benchmarks")
-    p.add_argument("--iters", type=int, help=f"iterations (default {bench.DEFAULT_ITERS})")
+    p.add_argument("--iters", type=int, help=f"iterations (default {BENCH_ITERS})")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_bench)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import mmap
 from dataclasses import dataclass, field
 
 from .errors import AccessFault, OutOfRange
@@ -18,7 +19,9 @@ class RegionKind(enum.Enum):
 class Region:
     base: int
     kind: RegionKind
-    data: bytearray
+    # Flash is an anonymous mmap: it reads as zero and takes host memory only
+    # for the pages written, the firmware's. ROM and SRAM are small bytearrays.
+    data: bytearray | mmap.mmap
 
     @property
     def end(self) -> int:

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
+import os
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Mapping
 
 from . import crtm
 from .device import DeviceState, device_reset
@@ -227,7 +229,11 @@ def save_profile(path: str | Path, profile: DeviceProfile) -> None:
         },
         "firmware": profile.firmware,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    # The profile holds the secret seed: owner-only, also when it overwrites one.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w") as out:
+        os.fchmod(fd, 0o600)
+        out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_profile(path: str | Path) -> DeviceProfile:
@@ -253,24 +259,35 @@ def load_profile(path: str | Path) -> DeviceProfile:
 
 # --- device construction ------------------------------------------------------
 
-def flash_region(firmware: bytes) -> Region:
-    """Flash at FLASH_BASE holding `firmware`, zero-padded to FLASH_SIZE."""
-    if len(firmware) > FLASH_SIZE:
-        raise ValueError(f"firmware ({len(firmware)} bytes) exceeds flash size")
-    flash = bytearray(FLASH_SIZE)
-    flash[:len(firmware)] = firmware
+def flash_region(firmware: bytes | BinaryIO) -> Region:
+    """Flash at FLASH_BASE holding `firmware`, zero-padded to FLASH_SIZE.
+
+    `firmware` is the image's bytes or its open file, which is read
+    straight into flash: the image is copied once either way.
+    """
+    from_file = hasattr(firmware, "readinto")
+    size = os.fstat(firmware.fileno()).st_size if from_file else len(firmware)
+    if size > FLASH_SIZE:
+        raise ValueError(f"firmware ({size} bytes) exceeds flash size")
+    flash = mmap.mmap(-1, FLASH_SIZE)  # anonymous: reads as zero, resident once written
+    if not from_file:
+        flash[:size] = firmware
+    elif firmware.readinto(memoryview(flash)[:size]) != size or firmware.read(1):
+        # it changed while being read, or is no regular file (a pipe's size reads 0)
+        raise ValueError(f"firmware image is not the {size} bytes its size says")
     return Region(FLASH_BASE, RegionKind.FLASH, flash)
 
 
 def build_device(
     profile: DeviceProfile,
     trust: TrustStore,
-    firmware: bytes = b"",
+    firmware: bytes | BinaryIO = b"",
 ) -> DeviceState:
     """Assemble a device and run its reset sequence (ROM boot included).
 
     ROM holds the trust store's canonical text followed by the QSK window;
-    firmware is mapped at the flash base; SRAM starts zeroed.
+    firmware (bytes or an open image file, as for `flash_region`) is mapped
+    at the flash base; SRAM starts zeroed.
     """
     image = MemoryImage([
         Region(ROM_BASE, RegionKind.ROM, bytearray(ROM_SIZE)),

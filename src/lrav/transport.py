@@ -157,7 +157,10 @@ class TcpListener:
     """A listening socket that several threads may accept on at once."""
 
     def __init__(self, host: str, port: int):
-        self._sock = socket.create_server((host, port))  # SO_REUSEADDR; closed if bind fails
+        # the family of the host's first address, as create_server defaults to IPv4;
+        # SO_REUSEADDR, and the socket is closed if bind fails
+        family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+        self._sock = socket.create_server((host, port), family=family)
 
     @property
     def address(self) -> tuple[str, int]:

@@ -83,9 +83,10 @@ def provision_cli_pair(tmp_path, rng, capsys, attested_bytes=8 * 1024, seeds=("a
     (tmp_path / "beta.trust").write_text(records["alpha"])
 
 
-def serve_and_attest(tmp_path, capsys, timeout="2.0") -> dict[str, int]:
+def serve_and_attest(tmp_path, capsys, timeout="2.0", host="127.0.0.1") -> dict[str, int]:
     """`lrav serve --once` as beta on a thread, then `lrav attest` as alpha.
 
+    `host` is as `--addr` takes it, so an IPv6 host comes in brackets.
     Returns both exit codes; their output stays in capsys.
     """
     codes = {}
@@ -94,7 +95,7 @@ def serve_and_attest(tmp_path, capsys, timeout="2.0") -> dict[str, int]:
         codes["serve"] = cli.main([
             "serve", "--profile", str(tmp_path / "beta.json"),
             "--trust", str(tmp_path / "beta.trust"),
-            "--addr", "127.0.0.1:0", "--once", "--timeout", timeout,
+            "--addr", f"{host}:0", "--once", "--timeout", timeout,
         ])
 
     worker = threading.Thread(target=serve)
@@ -103,7 +104,7 @@ def serve_and_attest(tmp_path, capsys, timeout="2.0") -> dict[str, int]:
     codes["attest"] = cli.main([
         "attest", "--profile", str(tmp_path / "alpha.json"),
         "--trust", str(tmp_path / "alpha.trust"),
-        "--addr", f"127.0.0.1:{port}", "--timeout", timeout,
+        "--addr", f"{host}:{port}", "--timeout", timeout,
     ])
     worker.join()
     return codes

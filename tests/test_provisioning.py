@@ -1,12 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lrav.crtm import AttestationConfig
+import lrav
+from lrav import cli
+from lrav.crtm import AttestationConfig, measure
 from lrav.errors import AccessFault, DuplicatePeer, InsufficientEntropy, ParseError, UnknownPeer
 from lrav.provisioning import (
     FLASH_BASE,
     FLASH_SIZE,
+    ROM_BASE,
     DeviceProfile,
     TrustStore,
     TrustedPeer,
@@ -21,6 +28,7 @@ from lrav.provisioning import (
 )
 
 from conftest import flash_image
+from oracles import recursive_chain_digest
 
 
 class TestIdentity:
@@ -176,6 +184,18 @@ class TestProfile:
         save_profile(path, profile)
         assert load_profile(path) == profile
 
+    def test_profile_is_owner_only_when_new_and_when_overwritten(self, tmp_path):
+        # it holds the secret signing seed
+        profile = DeviceProfile("gamma", b"\x09" * 32,
+                                AttestationConfig(FLASH_BASE, FLASH_BASE + 64, 64))
+        path = tmp_path / "gamma.json"
+        save_profile(path, profile)
+        assert path.stat().st_mode & 0o077 == 0
+        path.chmod(0o644)
+        save_profile(path, profile)
+        assert path.stat().st_mode & 0o077 == 0
+        assert load_profile(path) == profile
+
     def test_bad_profile_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"device_id": "x"}')
@@ -258,3 +278,110 @@ class TestBuiltDeviceRom:
         })
         with pytest.raises(ValueError, match="exceeds flash size"):
             build_device(profile, store, bytes(FLASH_SIZE + 1))
+
+
+def flash_device(firmware, trust: TrustStore = TrustStore({})):
+    """A device whose flash holds `firmware` (bytes or an open image file)."""
+    profile = DeviceProfile("flash", b"\x01" * 32,
+                            AttestationConfig(FLASH_BASE, FLASH_BASE + 1024, 1024))
+    return build_device(profile, trust, firmware)
+
+
+# reads a device's peak memory while `lrav measure` builds it from argv[1]; the
+# first build (argv[2]) loads whatever the build and the measurement use
+MEASURE_PEAK = """
+import sys
+from pathlib import Path
+
+import lrav.cli
+
+def kib(key):
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith(key + ":"):
+            return int(line.split()[1])
+
+assert lrav.cli.main(["measure", "--profile", sys.argv[2]]) == 0
+baseline = kib("VmRSS")
+assert lrav.cli.main(["measure", "--profile", sys.argv[1]]) == 0
+print(kib("VmHWM") - baseline)
+"""
+
+
+class TestFlash:
+    """Flash reads as zero past the firmware, and building it copies the image once."""
+
+    def test_blank_tail_measures_as_explicit_zeros(self, rng):
+        # compatibility pin: a zeroed bytearray flash read the same
+        firmware = rng.randbytes(3000)
+        dev = flash_device(firmware)
+        into_tail = AttestationConfig(FLASH_BASE, FLASH_BASE + 3000 + 5000, 1024)
+        assert measure(dev.memory, into_tail).digest == recursive_chain_digest(
+            firmware + bytes(5000), 1024)
+        last_pages = AttestationConfig(FLASH_BASE + FLASH_SIZE - 8192, FLASH_BASE + FLASH_SIZE, 4096)
+        assert measure(dev.memory, last_pages).digest == recursive_chain_digest(bytes(8192), 4096)
+
+    def test_write_into_the_blank_tail_reads_back_and_changes_the_digest(self, rng):
+        # compatibility pin, as above
+        firmware = rng.randbytes(3000)
+        dev = flash_device(firmware)
+        config = AttestationConfig(FLASH_BASE, FLASH_BASE + 16384, 1024)
+        before = measure(dev.memory, config)
+        dev.memory.write(FLASH_BASE + 9000, b"\xa5" * 7)
+        assert dev.memory.read(FLASH_BASE + 8999, 9) == b"\x00" + b"\xa5" * 7 + b"\x00"
+        after = measure(dev.memory, config)
+        assert after != before
+        expected = bytearray(firmware + bytes(16384 - 3000))
+        expected[9000:9007] = b"\xa5" * 7
+        assert after.digest == recursive_chain_digest(bytes(expected), 1024)
+
+    def test_device_from_the_image_file_equals_one_from_its_bytes(self, rng, tmp_path):
+        firmware = rng.randbytes(5000)
+        image = tmp_path / "fw.bin"
+        image.write_bytes(firmware)
+        store = sample_store(rng)
+        from_bytes = flash_device(firmware, store)
+        with open(image, "rb") as f:
+            from_file = flash_device(f, store)
+        image_only = AttestationConfig(FLASH_BASE, FLASH_BASE + 5000, 1024)
+        whole_flash = AttestationConfig(FLASH_BASE, FLASH_BASE + FLASH_SIZE, 4096)
+        for config in (image_only, whole_flash):
+            assert measure(from_file.memory, config) == measure(from_bytes.memory, config)
+        text = store.canonical_text()
+        assert from_file.trust.canonical_text() == text
+        assert from_file.memory.read(ROM_BASE, len(text)) == text.encode()
+
+    def test_oversized_image_file_is_named(self, tmp_path):
+        image = tmp_path / "big.bin"
+        with open(image, "wb") as f:
+            f.truncate(FLASH_SIZE + 1)  # sparse: no disk blocks
+        with open(image, "rb") as f, pytest.raises(ValueError) as exc:
+            flash_device(f)
+        assert str(exc.value) == f"firmware ({FLASH_SIZE + 1} bytes) exceeds flash size"
+
+    def test_image_that_is_not_its_stated_size_is_refused(self, tmp_path):
+        # a pipe's size reads 0, yet it has bytes to read; at the parent,
+        # read_bytes() read it whole
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as f:
+            with open(write_end, "wb") as w:
+                w.write(b"firmware")
+            with pytest.raises(ValueError, match="not the 0 bytes its size says"):
+                flash_device(f)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_building_a_device_touches_only_the_firmware_pages(self, tmp_path, rng, capsys):
+        # a 1 MiB image costs its own pages, not a zeroed 4 MiB flash plus copies of it
+        for name, size in (("warm", 4096), ("big", 1024 * 1024)):
+            image = tmp_path / f"{name}.bin"
+            image.write_bytes(rng.randbytes(size))
+            assert cli.main(["provision", "--image", str(image), "--id", name,
+                             "--profile", str(tmp_path / f"{name}.json")]) == 0
+        capsys.readouterr()
+        src = Path(lrav.__file__).resolve().parents[1]
+        peak_kib = subprocess.run(
+            [sys.executable, "-c", MEASURE_PEAK,
+             str(tmp_path / "big.json"), str(tmp_path / "warm.json")],
+            capture_output=True, text=True, check=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        ).stdout.split()[-1]
+        assert int(peak_kib) < 2.5 * 1024

@@ -557,6 +557,34 @@ class TestCli:
         assert captured.err.startswith(f"cannot listen on {addr}: [Errno ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("value, parsed", [
+        ("127.0.0.1:0", ("127.0.0.1", 0)),
+        ("localhost:65535", ("localhost", 65535)),
+        ("[::1]:8080", ("::1", 8080)),
+        ("[fe80::1%lo]:1", ("fe80::1%lo", 1)),
+        ("::1:80", ("::1", 80)),
+    ])
+    def test_addr_takes_bracketed_ipv6(self, value, parsed):
+        # the cases without brackets are compatibility pins
+        assert cli._parse_addr(value) == parsed
+
+    @pytest.mark.parametrize("value", ["[]:80", "[::1]", "[::1]:", "[::1]:70000", "[::1]:\u0661", ":80"])
+    def test_addr_without_host_or_port_is_refused(self, value):
+        # compatibility pin but for "[]:80", which named host "[]" before
+        with pytest.raises(ValueError) as exc:
+            cli._parse_addr(value)
+        assert str(exc.value) == f"address must be HOST:PORT with PORT 0-65535, got {value!r}"
+
+    def test_serve_attest_over_ipv6_loopback(self, tmp_path, rng, capsys):
+        try:
+            with socket.socket(socket.AF_INET6) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+        provision_cli_pair(tmp_path, rng, capsys)
+        assert serve_and_attest(tmp_path, capsys, host="[::1]") == {"serve": 0, "attest": 0}
+        assert re.search(r"^listening on \[::1\]:\d+$", capsys.readouterr().out, re.MULTILINE)
+
     def test_failed_provision_leaves_no_profile(self, tmp_path, rng, capsys):
         fw = tmp_path / "fw.bin"
         fw.write_bytes(rng.randbytes(4096))
@@ -581,6 +609,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: firmware ({FLASH_SIZE + 1} bytes) exceeds flash size\n"
         assert captured.out == "" and not profile.exists()
+
+    def test_empty_firmware_image_exits_2(self, tmp_path, capsys):
+        # compatibility pin: the size now comes from the open file, not from its bytes
+        fw = tmp_path / "fw.bin"
+        fw.write_bytes(b"")
+        profile = tmp_path / "dev.json"
+        assert cli.main([
+            "provision", "--image", str(fw), "--id", "dev", "--profile", str(profile),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "firmware image is empty\n"
+        assert captured.out == "" and not profile.exists()
+
+    def test_serve_and_attest_load_neither_attacks_nor_bench(self):
+        src = Path(lrav.__file__).resolve().parents[1]
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, lrav.cli; print(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, check=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        ).stdout.split()
+        assert "lrav.cli" in loaded
+        assert "lrav.attacks" not in loaded and "lrav.bench" not in loaded
+
+    def test_bench_help_names_its_default(self, capsys):
+        # compatibility pin: the default moved out of the bench module
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--help"])
+        assert exc.value.code == 0
+        assert f"iterations (default {cli.BENCH_ITERS})" in capsys.readouterr().out
+        assert cli.BENCH_ITERS == 20
 
     def test_attack_subcommand_single_scenario(self, capsys):
         assert cli.main(["attack", "--only", "qsk-read-attempt"]) == 0
