@@ -20,7 +20,7 @@ from .provisioning import (
     load_trust_store,
     save_profile,
 )
-from .quote import Quote, QuoteSigningKey, QuoteVerdict, sign_quote_gated, verify_quote
+from .quote import Quote, QuoteVerdict, sign_quote_gated, verify_quote
 from .runner import SessionResult, key_fingerprint, run_initiator, run_responder
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "Measurement",
     "Phase",
     "Quote",
-    "QuoteSigningKey",
     "QuoteVerdict",
     "Role",
     "SessionResult",

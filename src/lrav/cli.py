@@ -37,6 +37,7 @@ from .provisioning import (
     load_trust_store,
     save_profile,
 )
+from .quote import verification_key
 from .runner import SessionResult, key_fingerprint, run_initiator, run_responder
 
 EXIT_OK = 0
@@ -123,14 +124,14 @@ def cmd_provision(args) -> int:
             _eprint("firmware image is empty")
             return EXIT_USAGE
         entropy = bytes.fromhex(args.seed) if args.seed else None
-        key = gen_identity(entropy)
+        seed = gen_identity(entropy)
 
         default = AttestationConfig(FLASH_BASE, FLASH_BASE + size, args.block or 1024)
         attest = _attest_override(args, default)
         flash = flash_region(firmware)  # read straight into flash
     profile = DeviceProfile(
         device_id=args.id,
-        qsk_seed=key.rom_bytes()[:32],
+        qsk_seed=seed,
         attest=attest,
         firmware=str(image_path.resolve()),
     )
@@ -140,7 +141,7 @@ def cmd_provision(args) -> int:
     save_profile(profile_path, profile)
     _eprint(f"wrote device profile (contains the secret signing seed): {profile_path}")
     # The record below is public: paste it into the opposing device's store.
-    print(format_trust_record(args.id, key.public, [expected]), end="", flush=True)
+    print(format_trust_record(args.id, verification_key(seed), [expected]), end="", flush=True)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Simulated constrained device: memory map, PMP bank, identity, reset.
+"""Simulated constrained device: memory map, PMP bank, reset.
 
 Trusted ROM routines are host-level functions that touch memory directly;
 everything an adversary can do goes through mem_access / pmp.configure, where
@@ -18,7 +18,6 @@ from .memory import MemoryImage
 if TYPE_CHECKING:  # import cycle: quote/provisioning build on DeviceState
     from .crtm import AttestationConfig
     from .provisioning import TrustStore
-    from .quote import QuoteSigningKey
 
 
 # QSK key material occupies one NAPOT-alignable 64-byte ROM window:
@@ -33,10 +32,10 @@ QUOTE_STAGING_OFFSET = 0x100
 
 @dataclass
 class DeviceState:
+    # The signing seed lives only in `memory`, in the ROM key window.
     device_id: str
     memory: MemoryImage
     bank: pmp.PmpBank
-    identity: "QuoteSigningKey"
     trust: "TrustStore"
     attest_config: "AttestationConfig"
     qsk_base: int

@@ -29,7 +29,7 @@ from .device import DeviceState, device_reset
 from .errors import DuplicatePeer, InsufficientEntropy, InvalidRange, ParseError, UnknownPeer
 from .memory import MemoryImage, Region, RegionKind
 from .pmp import PmpBank
-from .quote import QuoteSigningKey
+from .quote import verification_key
 
 MIN_ENTROPY_BYTES = 32
 MAX_PEER_ID_BYTES = 64
@@ -51,10 +51,10 @@ _MEMORY_MAP = {
 }
 
 
-def gen_identity(seed_entropy: bytes | None = None) -> QuoteSigningKey:
-    """Derive a signing identity from >= 32 bytes of entropy.
+def gen_identity(seed_entropy: bytes | None = None) -> bytes:
+    """Derive a 32-byte Ed25519 signing seed from >= 32 bytes of entropy.
 
-    The Ed25519 seed is SHA3-256 of the input, so a fixed test seed gives a
+    The seed is SHA3-256 of the input, so a fixed test seed gives a
     reproducible keypair and long inputs are condensed uniformly.
     """
     if seed_entropy is None:
@@ -63,7 +63,7 @@ def gen_identity(seed_entropy: bytes | None = None) -> QuoteSigningKey:
         raise InsufficientEntropy(
             f"need at least {MIN_ENTROPY_BYTES} bytes of entropy, got {len(seed_entropy)}"
         )
-    return QuoteSigningKey(hashlib.sha3_256(seed_entropy).digest())
+    return hashlib.sha3_256(seed_entropy).digest()
 
 
 def compute_expected(image: MemoryImage, config: crtm.AttestationConfig) -> crtm.Measurement:
@@ -300,15 +300,14 @@ def build_device(
         raise ValueError(f"trust store ({len(store_bytes)} bytes) does not fit in rom")
     image.load_rom(ROM_BASE, store_bytes)
 
-    identity = QuoteSigningKey(profile.qsk_seed)
-    image.load_rom(QSK_BASE, identity.rom_bytes())
+    # the key window: seed || verification key, the only place the device holds the seed
+    image.load_rom(QSK_BASE, profile.qsk_seed + verification_key(profile.qsk_seed))
 
     crtm._read_attested(image, profile.attest)  # InvalidRange unless inside one region
     dev = DeviceState(
         device_id=profile.device_id,
         memory=image,
         bank=PmpBank(),
-        identity=identity,
         trust=trust,
         attest_config=profile.attest,
         qsk_base=QSK_BASE,
@@ -329,13 +328,13 @@ def provision_pair(
     def attest(fw: bytes) -> crtm.AttestationConfig:
         return crtm.AttestationConfig(FLASH_BASE, FLASH_BASE + len(fw), block)
 
-    def record(key: QuoteSigningKey, fw: bytes) -> TrustedPeer:
+    def record(seed: bytes, fw: bytes) -> TrustedPeer:
         flash = MemoryImage([Region(FLASH_BASE, RegionKind.FLASH, bytearray(fw))])
-        return TrustedPeer(key.public, (compute_expected(flash, attest(fw)),))
+        return TrustedPeer(verification_key(seed), (compute_expected(flash, attest(fw)),))
 
-    id_a, id_b = gen_identity(b"A" * 32), gen_identity(b"B" * 32)
-    dev_a = build_device(DeviceProfile("alpha", id_a.rom_bytes()[:32], attest(fw_a)),
-                         TrustStore({"beta": record(id_b, fw_b)}), fw_a)
-    dev_b = build_device(DeviceProfile("beta", id_b.rom_bytes()[:32], attest(fw_b)),
-                         TrustStore({"alpha": record(id_a, fw_a)}), fw_b)
+    seed_a, seed_b = gen_identity(b"A" * 32), gen_identity(b"B" * 32)
+    dev_a = build_device(DeviceProfile("alpha", seed_a, attest(fw_a)),
+                         TrustStore({"beta": record(seed_b, fw_b)}), fw_a)
+    dev_b = build_device(DeviceProfile("beta", seed_b, attest(fw_b)),
+                         TrustStore({"alpha": record(seed_a, fw_a)}), fw_b)
     return dev_a, dev_b

@@ -25,21 +25,9 @@ QUOTE_WIRE_BYTES = MEASUREMENT_BYTES + SIGNATURE_BYTES  # 116
 SEED_BYTES = 32
 
 
-class QuoteSigningKey:
-    """Ed25519 identity keypair; the seed lives in the PMP-protected window."""
-
-    def __init__(self, seed: bytes):
-        if len(seed) != SEED_BYTES:
-            raise ValueError("signing seed must be 32 bytes")
-        self._seed = bytes(seed)
-        self.public = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
-
-    def rom_bytes(self) -> bytes:
-        """Mask-ROM contents of the key window: seed || verification key."""
-        return self._seed + self.public
-
-    def __repr__(self):
-        return f"QuoteSigningKey(public={self.public.hex()})"
+def verification_key(seed: bytes) -> bytes:
+    """The 32-byte Ed25519 verification key of a 32-byte signing seed."""
+    return Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
 
 
 @dataclass(frozen=True)
@@ -82,8 +70,9 @@ def _gated_sign(dev: DeviceState, message: bytes, *, reuse_quote: bool = False) 
 
     Refuses (GateViolation) unless boot finished and the key window really is
     locked execute-only: execute-allowed plus read-denied is the trust-anchor
-    precondition for key secrecy. Gate-local key buffers are wiped before
-    returning; deeper cache/register effects are out of scope.
+    precondition for key secrecy. The seed is sliced from the key window into
+    one buffer, which is wiped before returning; deeper cache/register
+    effects are out of scope.
 
     With reuse_quote, `message` is a measurement pack: Ed25519 is deterministic
     (RFC 8032 5.1.6), so the last quote signature is returned again for the
@@ -96,13 +85,13 @@ def _gated_sign(dev: DeviceState, message: bytes, *, reuse_quote: bool = False) 
             raise GateViolation("QSK window is not locked execute-only")
         if reuse_quote and dev.last_quote is not None and dev.last_quote[0] == message:
             return dev.last_quote[1]
-        seed_buf = bytearray(dev.memory.read(dev.qsk_base, SEED_BYTES))
+        rom = dev.memory.region_for(dev.qsk_base, SEED_BYTES)
+        off = dev.qsk_base - rom.base
+        seed_buf = rom.data[off:off + SEED_BYTES]  # ROM is a bytearray: the one copy
         try:
-            signer = Ed25519PrivateKey.from_private_bytes(bytes(seed_buf))
-            signature = signer.sign(message)
+            signature = Ed25519PrivateKey.from_private_bytes(seed_buf).sign(message)
         finally:
             _wipe(seed_buf)
-            del signer
         if reuse_quote:
             dev.last_quote = (message, signature)
         return signature

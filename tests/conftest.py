@@ -83,10 +83,13 @@ def provision_cli_pair(tmp_path, rng, capsys, attested_bytes=8 * 1024, seeds=("a
     (tmp_path / "beta.trust").write_text(records["alpha"])
 
 
-def serve_and_attest(tmp_path, capsys, timeout="2.0", host="127.0.0.1") -> dict[str, int]:
+def serve_and_attest(
+    tmp_path, capsys, timeout="2.0", host="127.0.0.1", serve_args=(), attest_args=()
+) -> dict[str, int]:
     """`lrav serve --once` as beta on a thread, then `lrav attest` as alpha.
 
-    `host` is as `--addr` takes it, so an IPv6 host comes in brackets.
+    `host` is as `--addr` takes it, so an IPv6 host comes in brackets;
+    `serve_args` and `attest_args` are appended to each command line.
     Returns both exit codes; their output stays in capsys.
     """
     codes = {}
@@ -95,7 +98,7 @@ def serve_and_attest(tmp_path, capsys, timeout="2.0", host="127.0.0.1") -> dict[
         codes["serve"] = cli.main([
             "serve", "--profile", str(tmp_path / "beta.json"),
             "--trust", str(tmp_path / "beta.trust"),
-            "--addr", f"{host}:0", "--once", "--timeout", timeout,
+            "--addr", f"{host}:0", "--once", "--timeout", timeout, *serve_args,
         ])
 
     worker = threading.Thread(target=serve)
@@ -104,7 +107,7 @@ def serve_and_attest(tmp_path, capsys, timeout="2.0", host="127.0.0.1") -> dict[
     codes["attest"] = cli.main([
         "attest", "--profile", str(tmp_path / "alpha.json"),
         "--trust", str(tmp_path / "alpha.trust"),
-        "--addr", f"{host}:{port}", "--timeout", timeout,
+        "--addr", f"{host}:{port}", "--timeout", timeout, *attest_args,
     ])
     worker.join()
     return codes
@@ -145,6 +148,8 @@ def libsodium():
         "crypto_sign_ed25519_seed_keypair": [buf, buf, buf],  # pk, sk, seed
         # sig, siglen (may be NULL), message, length, sk
         "crypto_sign_ed25519_detached": [buf, ctypes.c_void_p, buf, size, buf],
+        "crypto_scalarmult_curve25519": [buf, buf, buf],  # q, n, p
+        "crypto_scalarmult_curve25519_base": [buf, buf],  # q, n
     }
     for name, argtypes in signatures.items():
         getattr(lib, name).argtypes = argtypes

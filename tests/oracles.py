@@ -9,6 +9,11 @@ import hashlib
 
 from lrav.pmp import PMP_ENTRIES, match_range
 
+# SHA-256 of the three frames of one seeded handshake (test_protocol's golden
+# run, rebuilt independently in test_reference); any change to the wire
+# bytes changes it
+GOLDEN_TRANSCRIPT = "598369bc511380b2d51fb05f7963cb62c43b9d2fc702a8fa3fbad3a9fb6c032b"
+
 
 def recursive_chain_digest(data: bytes, block: int) -> bytes:
     """Direct transcription of the chained-hash recursion.

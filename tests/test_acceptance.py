@@ -184,7 +184,6 @@ def test_c7_secrecy_hygiene(tmp_path, rng, capsys):
         str(res_a.state.snapshot()).encode(),
         str(res_b.state.snapshot()).encode(),
         repr(res_a.state).encode(), repr(dev_a).encode(), repr(dev_b).encode(),
-        repr(dev_a.identity).encode(),
     ]
     for needle in needles:
         for haystack in haystacks:

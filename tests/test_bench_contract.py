@@ -6,6 +6,8 @@ The handshake below drives both roles itself rather than through
 runner.run_pair: each role must run inside a tracer session opened on its
 own thread, as perfbench/run.py does."""
 
+import ast
+import importlib
 import importlib.util
 import random
 import threading
@@ -17,7 +19,8 @@ from lrav import runner, transport
 
 from conftest import make_pair
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +34,57 @@ def tracing():
 def test_every_span_target_resolves(tracing):
     for path, attr, name in tracing.SPANS:
         assert callable(getattr(tracing._resolve(path), attr)), name
+
+
+def lrav_chains(path: Path) -> set[tuple[str, ...]]:
+    """Every attribute chain in `path` rooted at a name imported from lrav.
+
+    Chains start with the imported module path: `from lrav import protocol`
+    then `protocol.WireM1.unpack` gives ("lrav", "protocol", "WireM1") and
+    ("lrav", "protocol", "WireM1", "unpack").
+    """
+    tree = ast.parse(path.read_text())
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lrav":
+            for alias in node.names:
+                roots[alias.asname or alias.name] = (*node.module.split("."), alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "lrav":  # `import lrav.cli` binds lrav
+                    bound = alias.name if alias.asname else "lrav"
+                    roots[alias.asname or "lrav"] = tuple(bound.split("."))
+    chains = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots:
+            chains.add((*roots[node.id], *attrs))
+    return chains
+
+
+def resolve(chain: tuple[str, ...]) -> None:
+    """Look the chain up, importing submodules as `import lrav.cli` would."""
+    owner = importlib.import_module(chain[0])
+    for i, name in enumerate(chain[1:], start=1):
+        if hasattr(owner, name):
+            owner = getattr(owner, name)
+        else:
+            owner = importlib.import_module(".".join(chain[:i + 1]))
+
+
+def test_every_lrav_name_perfbench_reads_resolves():
+    # guard: a refactor that renames what perfbench reads fails here, not in a benchmark run
+    for script in ("run.py", "serve_traced.py", "tracing.py"):
+        chains = lrav_chains(PERFBENCH / script)
+        assert chains, script
+        for chain in sorted(chains):
+            try:
+                resolve(chain)
+            except ImportError:
+                pytest.fail(f"perfbench/{script} reads {'.'.join(chain)}, which lrav lacks")
 
 
 def test_honest_handshake_records_every_layer(tracing):

@@ -43,6 +43,8 @@ from lrav.protocol import (
 from lrav.provisioning import TrustedPeer, TrustStore, provision_pair
 from lrav.runner import run_pair
 
+from oracles import GOLDEN_TRANSCRIPT
+
 # sha3_256 over 244 zero bytes, computed once with hashlib and frozen
 ZERO_TRANSCRIPT = "ad17cb196f25d881e83209846061c9a70457aa2a6d5a5b2dc92d958673cef874"
 
@@ -71,11 +73,6 @@ def test_small_order_table_matches_the_backend():
             key.exchange(X25519PublicKey.from_public_bytes(point))
     honest = X25519PrivateKey.generate().public_key().public_bytes_raw()
     assert not lrav.protocol.is_small_order(honest)
-
-
-# SHA-256 of the three frames of one seeded handshake; any change to the
-# wire bytes changes it
-GOLDEN_TRANSCRIPT = "598369bc511380b2d51fb05f7963cb62c43b9d2fc702a8fa3fbad3a9fb6c032b"
 
 
 def test_golden_wire_transcript(monkeypatch):

@@ -26,6 +26,7 @@ from lrav.provisioning import (
     parse_trust_store,
     save_profile,
 )
+from lrav.quote import verification_key
 
 from conftest import flash_image
 from oracles import recursive_chain_digest
@@ -33,12 +34,10 @@ from oracles import recursive_chain_digest
 
 class TestIdentity:
     def test_deterministic_under_fixed_seed(self):
-        a = gen_identity(b"\x07" * 32)
-        b = gen_identity(b"\x07" * 32)
-        assert a.public == b.public and a.rom_bytes() == b.rom_bytes()
+        assert gen_identity(b"\x07" * 32) == gen_identity(b"\x07" * 32)
 
     def test_random_identities_differ(self):
-        assert gen_identity().public != gen_identity().public
+        assert gen_identity() != gen_identity()
 
     def test_sign_verify_self_test(self):
         from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -46,10 +45,9 @@ class TestIdentity:
             Ed25519PublicKey,
         )
 
-        key = gen_identity(b"\x55" * 40)
-        seed = key.rom_bytes()[:32]
+        seed = gen_identity(b"\x55" * 40)
         sig = Ed25519PrivateKey.from_private_bytes(seed).sign(b"self-test")
-        Ed25519PublicKey.from_public_bytes(key.public).verify(sig, b"self-test")
+        Ed25519PublicKey.from_public_bytes(verification_key(seed)).verify(sig, b"self-test")
 
     def test_insufficient_entropy(self):
         with pytest.raises(InsufficientEntropy):
@@ -83,8 +81,8 @@ class TestComputeExpected:
 
 
 def sample_store(rng) -> TrustStore:
-    key_a = gen_identity(b"\x01" * 32).public
-    key_b = gen_identity(b"\x02" * 32).public
+    key_a = verification_key(gen_identity(b"\x01" * 32))
+    key_b = verification_key(gen_identity(b"\x02" * 32))
     cfg1 = AttestationConfig(FLASH_BASE, FLASH_BASE + 0x10000, 1024)
     cfg2 = AttestationConfig(FLASH_BASE, FLASH_BASE + 0x10000, 4096)
     from lrav.crtm import Measurement
@@ -269,7 +267,7 @@ class TestBuiltDeviceRom:
         )
         store = TrustStore({
             "peer": TrustedPeer(
-                gen_identity(b"\x03" * 32).public,
+                verification_key(gen_identity(b"\x03" * 32)),
                 (compute_expected(
                     flash_image(bytes(1024)),
                     AttestationConfig(FLASH_BASE, FLASH_BASE + 1024, 256),

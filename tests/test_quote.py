@@ -1,5 +1,7 @@
 import ctypes
+import dataclasses
 import random
+import types
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -10,12 +12,13 @@ from lrav.device import device_reset
 from lrav.errors import GateViolation, MalformedMessage
 from lrav.quote import (
     QUOTE_WIRE_BYTES,
+    SEED_BYTES,
     Quote,
-    QuoteSigningKey,
     QuoteVerdict,
     sign_quote_gated,
     sign_transcript_gated,
     stage_outgoing_quote,
+    verification_key,
     verify_quote,
 )
 
@@ -26,12 +29,20 @@ def own_measurement(dev) -> Measurement:
     return measure(dev.memory, dev.attest_config)
 
 
+def seed_of(dev) -> bytes:
+    return dev.memory.read(dev.qsk_base, SEED_BYTES)  # trusted path, test-only
+
+
+def public_key(dev) -> bytes:
+    return verification_key(seed_of(dev))
+
+
 class TestSigningGate:
     def test_honest_quote_verifies(self, device_pair):
         dev, _ = device_pair
         m = own_measurement(dev)
         q = sign_quote_gated(dev, m)
-        assert verify_quote(dev.identity.public, q, m) is QuoteVerdict.ACCEPT
+        assert verify_quote(public_key(dev), q, m) is QuoteVerdict.ACCEPT
 
     def test_deterministic_signatures(self, device_pair):
         dev, _ = device_pair
@@ -74,7 +85,7 @@ class TestSigningGate:
             with pytest.raises(GateViolation):
                 sign_quote_gated(dev, m)
         device_reset(dev)
-        assert verify_quote(dev.identity.public, sign_quote_gated(dev, m), m) is QuoteVerdict.ACCEPT
+        assert verify_quote(public_key(dev), sign_quote_gated(dev, m), m) is QuoteVerdict.ACCEPT
 
     def test_gate_wipes_local_seed_buffer(self, device_pair, monkeypatch):
         dev, _ = device_pair
@@ -90,6 +101,32 @@ class TestSigningGate:
         sign_quote_gated(dev, own_measurement(dev))
         assert captured, "gate did not route its key buffer through the wipe"
         assert all(bytes(b) == bytes(len(b)) for b in captured)
+
+    def test_signer_gets_only_the_wiped_buffer(self, device_pair, monkeypatch):
+        dev, _ = device_pair
+        received = []
+        real = quote.Ed25519PrivateKey.from_private_bytes
+
+        def spy(seed):
+            received.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(quote, "Ed25519PrivateKey", types.SimpleNamespace(from_private_bytes=spy))
+        sign_transcript_gated(dev, bytes(32))
+        sign_quote_gated(dev, Measurement(bytes(32), dev.attest_config))  # fresh: signed, not reused
+        assert len(received) == 2
+        assert all(bytes(seed) == bytes(SEED_BYTES) for seed in received)
+
+    def test_only_memory_holds_the_seed(self, device_pair):
+        dev, _ = device_pair
+        seed = seed_of(dev)
+        sign_quote_gated(dev, own_measurement(dev))
+        for f in dataclasses.fields(dev):
+            if f.name == "memory":
+                continue
+            value = getattr(dev, f.name)
+            for held in (value, *getattr(value, "__dict__", {}).values()):
+                assert not (isinstance(held, (bytes, bytearray)) and seed in held), f.name
 
     def test_transcript_signing_uses_same_gate(self, device_pair):
         dev, _ = device_pair
@@ -139,14 +176,14 @@ class TestQuoteSignatureReuse:
         lib = libsodium()
         if lib is None:
             pytest.skip("libsodium.so.23 not available")
-        seed = dev.memory.read(dev.qsk_base, 32)  # trusted path, test-only
+        seed = seed_of(dev)
         pk, sk = ctypes.create_string_buffer(32), ctypes.create_string_buffer(64)
         assert lib.crypto_sign_ed25519_seed_keypair(pk, sk, seed) == 0
         theirs = ctypes.create_string_buffer(64)
         message = m.pack()
         assert lib.crypto_sign_ed25519_detached(
             theirs, None, message, ctypes.c_ulonglong(len(message)), sk) == 0
-        assert pk.raw == dev.identity.public and theirs.raw == reused
+        assert pk.raw == public_key(dev) and theirs.raw == reused
 
 
 class TestVerifyQuote:
@@ -155,7 +192,7 @@ class TestVerifyQuote:
         m = own_measurement(dev)
         q = sign_quote_gated(dev, m)
         wrong = Measurement(m.digest[:-1] + bytes([m.digest[-1] ^ 1]), m.config)
-        assert verify_quote(dev.identity.public, q, wrong) is QuoteVerdict.MEASUREMENT_MISMATCH
+        assert verify_quote(public_key(dev), q, wrong) is QuoteVerdict.MEASUREMENT_MISMATCH
 
     def test_bad_signature(self, device_pair):
         dev, _ = device_pair
@@ -164,7 +201,7 @@ class TestVerifyQuote:
         flipped = bytearray(q.signature)
         flipped[10] ^= 0x04
         tampered = Quote(m, bytes(flipped))
-        assert verify_quote(dev.identity.public, tampered, m) is QuoteVerdict.BAD_SIGNATURE
+        assert verify_quote(public_key(dev), tampered, m) is QuoteVerdict.BAD_SIGNATURE
 
     def test_never_throws_on_junk_key(self, device_pair):
         dev, _ = device_pair
@@ -182,11 +219,10 @@ class TestVerifyQuote:
         config = AttestationConfig(0x1000, 0x2000, 256)
         for i in range(50):
             seed_signer = rng.randbytes(32)
-            signer = QuoteSigningKey(seed_signer)
             quoted = Measurement(rng.randbytes(32), config)
             expected = quoted if i % 2 == 0 else Measurement(rng.randbytes(32), config)
             right_key = i % 3 != 0
-            key = signer.public if right_key else QuoteSigningKey(rng.randbytes(32)).public
+            key = verification_key(seed_signer if right_key else rng.randbytes(32))
             sig = Ed25519PrivateKey.from_private_bytes(seed_signer).sign(quoted.pack())
             verdict = verify_quote(key, Quote(quoted, sig), expected)
             should_accept = right_key and quoted.digest == expected.digest
@@ -199,15 +235,15 @@ class TestVerifyMemo:
         quote._signature_valid.cache_clear()
         m = own_measurement(dev)
         q = sign_quote_gated(dev, m)
-        assert verify_quote(dev.identity.public, q, m) is QuoteVerdict.ACCEPT
+        assert verify_quote(public_key(dev), q, m) is QuoteVerdict.ACCEPT
         flipped = bytearray(q.signature)
         flipped[0] ^= 0x01
-        assert verify_quote(dev.identity.public, Quote(m, bytes(flipped)), m) \
+        assert verify_quote(public_key(dev), Quote(m, bytes(flipped)), m) \
             is QuoteVerdict.BAD_SIGNATURE
         wrong = Measurement(bytes(32), m.config)
-        assert verify_quote(dev.identity.public, q, wrong) is QuoteVerdict.MEASUREMENT_MISMATCH
-        assert verify_quote(other.identity.public, q, m) is QuoteVerdict.BAD_SIGNATURE
-        assert verify_quote(dev.identity.public, q, m) is QuoteVerdict.ACCEPT
+        assert verify_quote(public_key(dev), q, wrong) is QuoteVerdict.MEASUREMENT_MISMATCH
+        assert verify_quote(public_key(other), q, m) is QuoteVerdict.BAD_SIGNATURE
+        assert verify_quote(public_key(dev), q, m) is QuoteVerdict.ACCEPT
 
     def test_accepts_bytes_like_arguments(self, device_pair):
         dev, _ = device_pair
@@ -215,7 +251,7 @@ class TestVerifyMemo:
         sig = sign_quote_gated(dev, m).signature
         for kind in (bytearray, memoryview):
             q = Quote(m, kind(bytearray(sig)))
-            assert verify_quote(kind(bytearray(dev.identity.public)), q, m) is QuoteVerdict.ACCEPT
+            assert verify_quote(kind(bytearray(public_key(dev))), q, m) is QuoteVerdict.ACCEPT
 
 
 class TestWireForm:
@@ -252,11 +288,9 @@ class TestStaging:
 class TestNoKeyExfiltration:
     def test_public_surfaces_never_contain_seed(self, device_pair):
         dev, _ = device_pair
-        seed = dev.memory.read(dev.qsk_base, 32)  # trusted path, test-only
+        seed = seed_of(dev)
         surfaces = [
             repr(dev),
-            repr(dev.identity),
-            str(dev.identity),
             repr(sign_quote_gated(dev, own_measurement(dev))),
             sign_quote_gated(dev, own_measurement(dev)).to_wire().hex(),
             dev.trust.canonical_text(),

@@ -24,6 +24,7 @@ from lrav.provisioning import FLASH_SIZE
 from lrav.runner import SessionResult, key_fingerprint, run_initiator, run_pair, run_responder
 
 from conftest import make_pair, provision_cli_pair, serve_and_attest
+from oracles import recursive_chain_digest
 
 
 class TestRunner:
@@ -443,6 +444,37 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:  # measure opens no socket, so has no deadline
             cli.main(["measure", "--profile", str(tmp_path / "alpha.json"), "--timeout", "1"])
         assert exc.value.code == 2
+
+    # compatibility pins: the range overrides of measure, serve and attest
+    @pytest.mark.parametrize("flags, offsets, block", [
+        (["--block", "4096"], (0, None), 4096),
+        (["--start", "20000100", "--end", "20000900", "--block", "7"], (0x100, 0x900), 7),
+    ])
+    def test_measure_range_overrides(self, tmp_path, rng, capsys, flags, offsets, block):
+        provision_cli_pair(tmp_path, rng, capsys)
+        firmware = (tmp_path / "alpha.fw").read_bytes()
+        assert cli.main(["measure", "--profile", str(tmp_path / "alpha.json"), *flags]) == 0
+        start, end = offsets
+        assert capsys.readouterr().out.strip() == recursive_chain_digest(
+            firmware[start:end], block).hex()
+
+    def test_serve_with_another_block_size_is_a_measurement_mismatch(self, tmp_path, rng, capsys):
+        provision_cli_pair(tmp_path, rng, capsys)
+        codes = serve_and_attest(tmp_path, capsys, serve_args=["--block", "4096"])
+        assert codes == {"serve": 1, "attest": 1}
+        assert sorted(capsys.readouterr().err.splitlines()) == [
+            "attestation failed: aborted (MEASUREMENT_MISMATCH)",  # attest detects it
+            "attestation failed: aborted (peer reported MEASUREMENT_MISMATCH)",
+        ]
+
+    def test_attest_with_another_block_size_is_caught_by_serve_only(self, tmp_path, rng, capsys):
+        # M3 is the last flight: attest has established before serve checks it
+        provision_cli_pair(tmp_path, rng, capsys)
+        codes = serve_and_attest(tmp_path, capsys, attest_args=["--block", "4096"])
+        assert codes == {"serve": 1, "attest": 0}
+        assert capsys.readouterr().err.splitlines() == [
+            "attestation failed: aborted (MEASUREMENT_MISMATCH)",
+        ]
 
     def test_serve_attest_loopback(self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
