@@ -2,8 +2,8 @@
  *
  * chained_sha3_256: D_k = H(B_k); D_j = H(B_j || D_{j+1}); returns D_0, where
  * B_0..B_k partition the input into `block`-byte chunks (last may be short).
- * Same digests as the pure-Python loop in lrav.crtm. H is a SHA3-256 sponge
- * written from FIPS 202 over a LANES-wide Keccak-p[1600]: the full rate
+ * Same digests as the iterative oracle in tests/oracles.py. H is a SHA3-256
+ * sponge written from FIPS 202 over a LANES-wide Keccak-p[1600]: the full rate
  * chunks of a block depend on that block alone, so LANES blocks absorb them
  * side by side, and only each block's last one or two permutations (its
  * "tail", which holds D_{j+1}) wait for the chain.
@@ -12,7 +12,7 @@
  * "Cryptography in NaCl"; "Salsa20 specification"). The 24-byte nonce's first
  * 16 bytes and the key give an HSalsa20 subkey; the last 8 bytes and a 64-bit
  * little-endian block counter from 0 then drive Salsa20/20 under that
- * subkey. Same bytes as the pure-Python twins in lrav.secretbox.
+ * subkey. Same bytes as the twins in tests/oracles.py.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -4,9 +4,10 @@ The only build path, in a checkout or an install (which ships the C source):
 compile once into the package's ``__pycache__``, named by the source hash and
 the extension suffix, so later imports only hash the source and never load a
 build of an older one. A temporary output renamed into place makes concurrent
-first imports safe; older builds are then deleted. Without a compiler, Python
-headers or a writable ``__pycache__`` (a read-only install), EXT is None and
-callers take their pure-Python paths (same bytes, slower).
+first imports safe; older builds are then deleted. lrav has no other
+implementation of these primitives: without a compiler, the Python headers or
+a writable ``__pycache__`` (a read-only install never imported by its owner),
+importing lrav raises ImportError naming the cache and the cause.
 """
 
 from __future__ import annotations
@@ -43,24 +44,29 @@ def _build(path: Path) -> None:
                 with contextlib.suppress(OSError):
                     old.unlink()
     except subprocess.SubprocessError as exc:
-        raise OSError(f"cannot compile {_SRC.name}: {exc}") from exc
+        err = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
+        lines = [line.strip() for line in err.splitlines() if line.strip()]
+        # gcc ends with "compilation terminated.": the first error line names the cause
+        cause = ([line for line in lines if "error" in line] or lines[-1:] or [exc])[0]
+        raise OSError(f"cannot compile {_SRC.name}: {cause}") from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
 
 
 def _load():
-    """The build of the current source, compiled if missing, or None."""
+    """The build of the current source, compiled if missing."""
+    cache = _SRC.parent / "__pycache__"
     try:
         key = hashlib.sha256(_SRC.read_bytes()).hexdigest()[:16]
-        path = _SRC.parent / "__pycache__" / f"_chainhash.{key}{_SUFFIX}"
+        path = cache / f"_chainhash.{key}{_SUFFIX}"
         if not path.exists():
             _build(path)
         spec = importlib.util.spec_from_file_location(f"{__package__}._chainhash", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    except (OSError, ImportError):  # no compiler, Python headers or writable cache
-        return None
+    except (OSError, ImportError) as exc:  # no compiler, Python headers or writable cache
+        raise ImportError(f"cannot build lrav's C accelerator in {cache}: {exc}") from exc
     return module
 
 

@@ -78,7 +78,7 @@ def _parse_addr(value: str) -> tuple[str, int]:
 def _attest_override(args, default: AttestationConfig) -> AttestationConfig:
     start = int(args.start, 16) if args.start else default.start_addr
     end = int(args.end, 16) if args.end else default.end_addr
-    block = args.block if args.block else default.block_size
+    block = default.block_size if args.block is None else args.block
     return AttestationConfig(start, end, block)
 
 
@@ -126,7 +126,7 @@ def cmd_provision(args) -> int:
         entropy = bytes.fromhex(args.seed) if args.seed else None
         seed = gen_identity(entropy)
 
-        default = AttestationConfig(FLASH_BASE, FLASH_BASE + size, args.block or 1024)
+        default = AttestationConfig(FLASH_BASE, FLASH_BASE + size, 1024)
         attest = _attest_override(args, default)
         flash = flash_region(firmware)  # read straight into flash
     profile = DeviceProfile(

@@ -12,7 +12,6 @@ PMP-gated untrusted path.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
@@ -21,8 +20,7 @@ from ._native import EXT
 from .errors import InvalidRange, OutOfRange
 from .memory import MemoryImage
 
-# None selects the pure-Python fallback: same digests, more per-block overhead
-_chained_sha3_256 = getattr(EXT, "chained_sha3_256", None)
+_chained_sha3_256 = EXT.chained_sha3_256
 
 DIGEST_BYTES = 32
 
@@ -78,19 +76,6 @@ class Measurement:
         return cls(data[_CONFIG_STRUCT.size:], AttestationConfig(start, end, block))
 
 
-def _py_chained_digest(data: bytes, block: int) -> bytes:
-    sha3 = hashlib.sha3_256
-    n = len(data)
-    starts = iter(range(((n - 1) // block) * block, -1, -block))
-    s = next(starts)
-    digest = sha3(data[s:s + block]).digest()
-    for s in starts:
-        h = sha3(data[s:s + block])
-        h.update(digest)
-        digest = h.digest()
-    return digest
-
-
 def _read_attested(image: MemoryImage, config: AttestationConfig) -> memoryview:
     """Read-only view of [start, end), which must lie inside one region (no copy).
 
@@ -109,11 +94,7 @@ def _read_attested(image: MemoryImage, config: AttestationConfig) -> memoryview:
 def measure(image: MemoryImage, config: AttestationConfig) -> Measurement:
     """Compute the chained digest of the configured range (trusted ROM path)."""
     data = _read_attested(image, config)
-    if _chained_sha3_256 is not None:
-        digest = _chained_sha3_256(data, config.block_size)
-    else:
-        digest = _py_chained_digest(data, config.block_size)
-    return Measurement(digest, config)
+    return Measurement(_chained_sha3_256(data, config.block_size), config)
 
 
 def measurement_equals(a: Measurement, b: Measurement) -> bool:

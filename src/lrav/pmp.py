@@ -41,29 +41,6 @@ class PmpConfig:
     addr_mode: AddrMode = AddrMode.OFF
     lock: bool = False
 
-    def encode(self) -> int:
-        return (
-            (1 if self.read else 0)
-            | (2 if self.write else 0)
-            | (4 if self.execute else 0)
-            | (int(self.addr_mode) << 3)
-            | (0x80 if self.lock else 0)
-        )
-
-    @classmethod
-    def decode(cls, byte: int) -> "PmpConfig":
-        if not 0 <= byte <= 0xFF:
-            raise ValueError(f"config byte out of range: {byte}")
-        if byte & 0x60:
-            raise ValueError(f"config bits 5-6 must be zero: {byte:#04x}")
-        return cls(
-            read=bool(byte & 1),
-            write=bool(byte & 2),
-            execute=bool(byte & 4),
-            addr_mode=AddrMode((byte >> 3) & 3),
-            lock=bool(byte & 0x80),
-        )
-
     def allows(self, access: Access) -> bool:
         if access is Access.READ:
             return self.read

@@ -6,15 +6,13 @@ import threading
 import pytest
 
 from lrav import crtm
-from lrav.crtm import (
-    AttestationConfig, Measurement, _py_chained_digest, measure, measurement_equals,
-)
+from lrav.crtm import AttestationConfig, Measurement, measure, measurement_equals
 from lrav.errors import InvalidRange
 from lrav.memory import MemoryImage, Region, RegionKind
 from lrav.provisioning import FLASH_BASE
 
 from conftest import flash_image
-from oracles import recursive_chain_digest
+from oracles import iterative_chain_digest, recursive_chain_digest
 
 SIZES = [1, 31, 32, 33, 100, 1023, 1024, 1025, 2048, 4095, 4096, 4097, 8000, 8192]
 BLOCKS = [32, 1024, 4096]
@@ -33,13 +31,11 @@ class TestOracleEquivalence:
                 assert digest_of(data, block) == recursive_chain_digest(data, block), (size, block)
 
     def test_python_fallback_matches_accelerator(self, rng):
-        if crtm._chained_sha3_256 is None:
-            pytest.skip("accelerator not built")
         for _ in range(50):
             size = rng.randrange(1, 10000)
             block = rng.choice([1, 7, 32, 100, 1024, 4096])
             data = rng.randbytes(size)
-            assert crtm._chained_sha3_256(data, block) == crtm._py_chained_digest(data, block)
+            assert crtm._chained_sha3_256(data, block) == iterative_chain_digest(data, block)
 
     def test_two_block_example(self):
         # 2 KB region, 1 KB blocks: digest == H(B0 || H(B1))
@@ -158,7 +154,6 @@ def test_determinism(rng):
 
 
 native = crtm._chained_sha3_256
-needs_native = pytest.mark.skipif(native is None, reason="C accelerator not built")
 
 # FIPS 202 SHA3-256 examples (NIST "SHA3-256" example values)
 FIPS202 = {
@@ -167,7 +162,6 @@ FIPS202 = {
 }
 
 
-@needs_native
 class TestNativeKernel:
     """The multi-lane sponge against hashlib and the pure-Python chain.
 
@@ -185,25 +179,25 @@ class TestNativeKernel:
     def test_fips202_examples(self):
         for message, digest in FIPS202.items():
             assert native(message, len(message)).hex() == digest
-            assert _py_chained_digest(message, len(message)).hex() == digest
+            assert iterative_chain_digest(message, len(message)).hex() == digest
 
     def test_chains_equal_the_python_chain(self, rng):
         for block in [1, 31, 32, 33, 103, 104, 105, 135, 136, 137, 271, 272, 273, 1024, 4096]:
             for count in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 20]:
                 for last in {block, 1, block // 2 + 1}:
                     data = rng.randbytes((count - 1) * block + last)
-                    assert native(data, block) == _py_chained_digest(data, block), (block, count, last)
+                    assert native(data, block) == iterative_chain_digest(data, block), (block, count, last)
 
     def test_unaligned_memoryview(self, rng):
         region = bytearray(rng.randbytes(9000))
         for offset in (1, 3, 7):
             view = memoryview(region)[offset:offset + 8191]
             for block in (100, 1024):
-                assert native(view, block) == _py_chained_digest(bytes(view), block)
+                assert native(view, block) == iterative_chain_digest(bytes(view), block)
 
     def test_concurrent_calls_share_nothing(self):
         images = [random.Random(seed).randbytes(256 * 1024 + seed) for seed in range(4)]
-        expected = [_py_chained_digest(image, 1024) for image in images]
+        expected = [iterative_chain_digest(image, 1024) for image in images]
         results: list[list[bytes]] = [[] for _ in images]
 
         def work(k):

@@ -13,35 +13,6 @@ from lrav.quote import _gate_is_intact
 from oracles import napot_range_oracle, per_byte_check, tor_range_oracle
 
 
-def all_configs():
-    for read in (False, True):
-        for write in (False, True):
-            for execute in (False, True):
-                for mode in AddrMode:
-                    for lock in (False, True):
-                        yield PmpConfig(read, write, execute, mode, lock)
-
-
-class TestConfigByte:
-    def test_roundtrip_all_configs(self):
-        for config in all_configs():
-            assert PmpConfig.decode(config.encode()) == config
-
-    def test_roundtrip_all_bytes(self):
-        # every byte with bits 5-6 clear decodes and re-encodes identically
-        for byte in range(256):
-            if byte & 0x60:
-                with pytest.raises(ValueError):
-                    PmpConfig.decode(byte)
-            else:
-                assert PmpConfig.decode(byte).encode() == byte
-
-    def test_bit_positions(self):
-        config = PmpConfig(read=True, write=False, execute=True,
-                           addr_mode=AddrMode.NAPOT, lock=True)
-        assert config.encode() == 0b1001_1101  # L=1, A=3, X=1, W=0, R=1
-
-
 class TestConfigure:
     def test_locked_entry_rejects_rewrite(self):
         bank = PmpBank()

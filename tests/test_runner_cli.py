@@ -458,6 +458,20 @@ class TestCli:
         assert capsys.readouterr().out.strip() == recursive_chain_digest(
             firmware[start:end], block).hex()
 
+    @pytest.mark.parametrize("command", ["measure", "provision"])
+    def test_block_zero_is_refused(self, tmp_path, rng, capsys, command):
+        provision_cli_pair(tmp_path, rng, capsys)
+        written = tmp_path / "zero.json"
+        argv = {
+            "measure": ["measure", "--profile", str(tmp_path / "alpha.json")],
+            "provision": ["provision", "--image", str(tmp_path / "alpha.fw"), "--id", "zero",
+                          "--profile", str(written), "--seed", "cc" * 32],
+        }[command]
+        assert cli.main([*argv, "--block", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: block size must be >= 1: 0\n"
+        assert not written.exists()
+
     def test_serve_with_another_block_size_is_a_measurement_mismatch(self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
         codes = serve_and_attest(tmp_path, capsys, serve_args=["--block", "4096"])

@@ -7,23 +7,17 @@ import pytest
 
 from lrav import _native, secretbox
 from lrav.errors import AuthenticationFailed
-from lrav.secretbox import (
-    _core_block,
-    _expansion,
-    _py_hsalsa20,
-    _py_xsalsa20_xor,
-    _rounds,
-    open_box,
-    seal,
-)
+from lrav.secretbox import open_box, seal
 
 from conftest import libsodium
+from oracles import (
+    hsalsa20_oracle, salsa_core_block, salsa_expansion, salsa_rounds, xsalsa20_oracle,
+)
 
 NATIVE = _native.EXT
-needs_native = pytest.mark.skipif(NATIVE is None, reason="C accelerator unavailable")
-# every implementation on this host: the pure-Python twin, then the native one
-XORS = [_py_xsalsa20_xor] + ([NATIVE.xsalsa20_xor] if NATIVE else [])
-HSALSAS = [_py_hsalsa20] + ([NATIVE.hsalsa20] if NATIVE else [])
+# the pure-Python oracle twin, then the native implementation
+XORS = [xsalsa20_oracle, NATIVE.xsalsa20_xor]
+HSALSAS = [hsalsa20_oracle, NATIVE.hsalsa20]
 
 # "Cryptography in NaCl", section 10: HSalsa20 of the Curve25519 shared secret
 # gives firstkey, HSalsa20 of firstkey and the nonce's first 16 bytes secondkey.
@@ -57,7 +51,7 @@ class TestSalsaCore:
                     27, 111, 114, 114, 118, 40, 152, 157, 180, 57, 27, 94, 107, 42, 236, 35])),
         ]
         for given, expected in examples:
-            assert _core_block(list(struct.unpack("<16I", given))) == expected
+            assert salsa_core_block(list(struct.unpack("<16I", given))) == expected
 
     def test_hsalsa20_matches_the_nacl_vectors(self):
         for hsalsa20 in HSALSAS:
@@ -70,7 +64,6 @@ class TestSalsaCore:
         for xor in XORS:
             assert xor(NACL_FIRSTKEY, NACL_NONCE, bytes(32)) == expected
 
-    @needs_native
     def test_native_stream_matches_the_nacl_4mib_vector(self):
         # NaCl's stream test: SHA-256 of 4 MiB of keystream, past 2^16 blocks
         stream = NATIVE.xsalsa20_xor(NACL_FIRSTKEY, NACL_NONCE, bytes(4 << 20))
@@ -78,18 +71,18 @@ class TestSalsaCore:
             "662b9d0e3463029156069b12f918691a98f7dfb2ca0393c96bbfc6b1fbd630a2")
 
     def test_zero_state_is_a_fixed_point_of_the_rounds(self):
-        assert _rounds([0] * 16) == [0] * 16
+        assert salsa_rounds([0] * 16) == [0] * 16
         # ... so the core of the zero state is zero (feed-forward adds zero)
-        assert _core_block([0] * 16) == bytes(64)
+        assert salsa_core_block([0] * 16) == bytes(64)
 
     def test_expansion_constants_break_the_fixed_point(self):
         # with the "expand 32-byte k" constants in place, a zero key and zero
         # input must not produce a zero keystream block
-        state = _expansion((0,) * 8, (0,) * 4)
-        assert _core_block(state) != bytes(64)
+        state = salsa_expansion((0,) * 8, (0,) * 4)
+        assert salsa_core_block(state) != bytes(64)
 
     def test_expansion_layout(self):
-        state = _expansion(tuple(range(1, 9)), (100, 101, 102, 103))
+        state = salsa_expansion(tuple(range(1, 9)), (100, 101, 102, 103))
         assert state[0] == struct.unpack("<I", b"expa")[0]
         assert state[5] == struct.unpack("<I", b"nd 3")[0]
         assert state[10] == struct.unpack("<I", b"2-by")[0]
@@ -168,20 +161,18 @@ class TestSecretbox:
 DIFFERENTIAL_SIZES = [*range(301), 4095, 4096, 4097]
 
 
-@needs_native
 def test_native_matches_python_stream_and_boxes(monkeypatch):
     rng = random.Random(0xD1FF)
     cases = [(rng.randbytes(32), rng.randbytes(24), rng.randbytes(n)) for n in DIFFERENTIAL_SIZES]
     native_boxes = [seal(key, nonce, msg) for key, nonce, msg in cases]
     for key, nonce, msg in cases:
-        assert NATIVE.xsalsa20_xor(key, nonce, msg) == _py_xsalsa20_xor(key, nonce, msg), len(msg)
-    monkeypatch.setattr(secretbox, "_xsalsa20_xor", _py_xsalsa20_xor)
+        assert NATIVE.xsalsa20_xor(key, nonce, msg) == xsalsa20_oracle(key, nonce, msg), len(msg)
+    monkeypatch.setattr(secretbox, "_xsalsa20_xor", xsalsa20_oracle)
     for (key, nonce, msg), boxed in zip(cases, native_boxes):
         assert seal(key, nonce, msg) == boxed, len(msg)
         assert open_box(key, nonce, boxed) == msg
 
 
-@needs_native
 def test_native_matches_libsodium_hsalsa20_and_stream():
     lib = libsodium()
     if lib is None:
