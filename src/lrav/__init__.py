@@ -21,7 +21,7 @@ from .provisioning import (
     save_profile,
 )
 from .quote import Quote, QuoteVerdict, sign_quote_gated, verify_quote
-from .runner import SessionResult, key_fingerprint, run_initiator, run_responder
+from .runner import Outcome, SessionResult, key_fingerprint, run_initiator, run_responder
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,7 @@ __all__ = [
     "DeviceProfile",
     "DeviceState",
     "Measurement",
+    "Outcome",
     "Phase",
     "Quote",
     "QuoteVerdict",

@@ -37,7 +37,7 @@ from .protocol import (
 )
 from .provisioning import FLASH_BASE, ROM_BASE, provision_pair
 from .quote import QUOTE_WIRE_BYTES
-from .runner import run_pair
+from .runner import Outcome, run_pair
 
 ATTACK_TIMEOUT = 0.3  # short: non-response scenarios resolve by timing out
 
@@ -89,9 +89,9 @@ def _honest_pair(rng: random.Random) -> tuple[DeviceState, DeviceState]:
 def _initiator_verdict(dev_a: DeviceState, dev_b: DeviceState, **hooks) -> Verdict:
     """A's verdict on one run of the pair (send hooks as for run_pair)."""
     res_a, _ = run_pair(dev_a, dev_b, timeout=ATTACK_TIMEOUT, **hooks)
-    if res_a.established:
+    if res_a.outcome is Outcome.ESTABLISHED:
         return Verdict(VerdictKind.ESTABLISHED)
-    if res_a.timed_out:
+    if res_a.outcome is Outcome.TIMEOUT:
         return Verdict(VerdictKind.TIMEOUT)
     return Verdict(VerdictKind.ABORTED, res_a.reason)
 

@@ -38,7 +38,7 @@ from .provisioning import (
     save_profile,
 )
 from .quote import verification_key
-from .runner import SessionResult, key_fingerprint, run_initiator, run_responder
+from .runner import Outcome, SessionResult, key_fingerprint, run_initiator, run_responder
 
 EXIT_OK = 0
 EXIT_ABORT = 1
@@ -76,8 +76,8 @@ def _parse_addr(value: str) -> tuple[str, int]:
 
 
 def _attest_override(args, default: AttestationConfig) -> AttestationConfig:
-    start = int(args.start, 16) if args.start else default.start_addr
-    end = int(args.end, 16) if args.end else default.end_addr
+    start = default.start_addr if args.start is None else int(args.start, 16)
+    end = default.end_addr if args.end is None else int(args.end, 16)
     block = default.block_size if args.block is None else args.block
     return AttestationConfig(start, end, block)
 
@@ -94,17 +94,17 @@ def _load_device(args) -> DeviceState:
 
 
 def _report(result: SessionResult, device_id: str) -> int:
-    if result.established:
+    if result.outcome is Outcome.ESTABLISHED:
         _emit(
             sys.stdout,
             f"established device={device_id} peer={result.state.peer_id} "
             f"key-fp={key_fingerprint(result.session_key)}",
         )
         return EXIT_OK
-    if result.timed_out:
+    if result.outcome is Outcome.TIMEOUT:
         _eprint(f"transport timeout ({result.describe()})")
         return EXIT_TRANSPORT
-    if result.closed:  # "transport closed (<why>)"
+    if result.outcome is Outcome.CLOSED:  # "transport closed (<why>)"
         _eprint(f"transport {result.describe()}")
         return EXIT_TRANSPORT
     _eprint(f"attestation failed: {result.describe()}")

@@ -1,11 +1,12 @@
 """Drives one protocol session over a transport endpoint.
 
 Each role is straight-line code, and every session that does not establish
-ends in `_early_end`: a receive deadline (`timed_out`), a channel closed
-under a send or a receive (`closed`), an undecodable frame (`error`), the
-peer's error frame (`peer_reported`; recorded, never trusted), or a local
-abort (`reason`), which first sends one plaintext courtesy error frame (type
-0xFF, one reason byte). Any session state is left ABORTED with K cleared.
+ends in `_early_end` with one `Outcome`: TIMEOUT for a receive deadline,
+CLOSED for a channel closed under a send or a receive, FAILED for an
+undecodable frame, PEER_ABORTED for the peer's error frame (recorded, never
+trusted), or ABORTED for a local abort (`reason`), which first sends one
+plaintext courtesy error frame (type 0xFF, one reason byte). Any session
+state is left ABORTED with K cleared.
 A caller error is the caller's mistake, not the peer's, and propagates: an
 unprovisioned peer (`UnknownPeer`), a device whose gate will not sign
 (`GateViolation`), a message fed in the wrong phase (`ProtocolStateError`).
@@ -13,6 +14,7 @@ unprovisioned peer (`UnknownPeer`), a device whose gate will not sign
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import threading
 import time
@@ -43,15 +45,31 @@ from .protocol import (
 )
 
 
+class Outcome(enum.Enum):
+    """How a session ended."""
+
+    ESTABLISHED = "established"
+    ABORTED = "aborted"  # by us, for `reason`
+    PEER_ABORTED = "peer-aborted"  # `reason` is None for a missing or unknown reason byte
+    TIMEOUT = "timeout"
+    CLOSED = "closed"  # the channel closed under a send or a receive
+    FAILED = "failed"  # an undecodable frame
+
+
 @dataclass
 class SessionResult:
-    established: bool
+    outcome: Outcome
     state: Optional[SessionState] = None
     reason: Optional[AbortReason] = None
-    peer_reported: bool = False
-    timed_out: bool = False
-    closed: bool = False  # the channel closed under a send or a receive
     error: Optional[str] = None
+
+    @property
+    def established(self) -> bool:
+        return self.outcome is Outcome.ESTABLISHED
+
+    @property
+    def peer_reported(self) -> bool:
+        return self.outcome is Outcome.PEER_ABORTED
 
     @property
     def session_key(self) -> bytes:
@@ -59,16 +77,13 @@ class SessionResult:
         return self.state.session_key()
 
     def describe(self) -> str:
-        if self.established:
-            return "established"
-        if self.timed_out:
-            return "timeout"
-        if self.closed:
-            return f"closed ({self.error})"
-        if self.reason is not None:
-            source = "peer reported " if self.peer_reported else ""
-            return f"aborted ({source}{self.reason.name})"
-        return f"failed ({self.error})"
+        if self.outcome in (Outcome.ESTABLISHED, Outcome.TIMEOUT):
+            return self.outcome.value
+        if self.outcome in (Outcome.CLOSED, Outcome.FAILED):
+            return f"{self.outcome.value} ({self.error})"
+        if self.outcome is Outcome.PEER_ABORTED:
+            return f"aborted (peer reported {getattr(self.reason, 'name', 'UNKNOWN')})"
+        return f"aborted ({self.reason.name})"
 
 
 def key_fingerprint(key: bytes) -> str:
@@ -96,17 +111,18 @@ def _early_end(ep, st: SessionState | None, exc: Exception) -> SessionResult:
     if st is not None:
         st.phase, st.abort_reason, st.k = Phase.ABORTED, reason, None
     if isinstance(exc, TransportTimeout):
-        return SessionResult(False, st, timed_out=True)
+        return SessionResult(Outcome.TIMEOUT, st)
     if isinstance(exc, ChannelClosed):
-        return SessionResult(False, st, closed=True, error=str(exc))
+        return SessionResult(Outcome.CLOSED, st, error=str(exc))
+    if isinstance(exc, FrameError):
+        return SessionResult(Outcome.FAILED, st, error=str(exc))
     if isinstance(exc, _PeerAbort):
-        return SessionResult(False, st, reason=reason, peer_reported=True)
-    if isinstance(exc, ProtocolAbort):
-        try:
-            ep.send_frame(transport.MSG_ERROR, bytes([reason]))
-        except ChannelClosed:
-            pass
-    return SessionResult(False, st, reason=reason, error=str(exc))
+        return SessionResult(Outcome.PEER_ABORTED, st, reason)
+    try:  # a local ProtocolAbort
+        ep.send_frame(transport.MSG_ERROR, bytes([reason]))
+    except ChannelClosed:
+        pass
+    return SessionResult(Outcome.ABORTED, st, reason, str(exc))
 
 
 def _recv(ep, msg_type: int, wire, timeout: float):
@@ -141,7 +157,7 @@ def run_initiator(
         ep.send_frame(transport.MSG_M3, m3.pack())
     except _EARLY_ENDS as exc:
         return _early_end(ep, st, exc)
-    return SessionResult(True, st)
+    return SessionResult(Outcome.ESTABLISHED, st)
 
 
 def run_responder(
@@ -166,7 +182,7 @@ def run_responder(
         process_m3(dev, st, m3)
     except _EARLY_ENDS as exc:
         return _early_end(ep, st, exc)
-    return SessionResult(True, st)
+    return SessionResult(Outcome.ESTABLISHED, st)
 
 
 def run_pair(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lrav import runner, transport
+from lrav import protocol, runner, transport
 
 from conftest import make_pair
 
@@ -116,3 +116,30 @@ def test_honest_handshake_records_every_layer(tracing):
         for span in ("pmp.check", "device.mem_access", "quote.stage_outgoing_quote",
                      "crtm.measure", "quote.sign_quote_gated", "quote.verify_quote"):
             assert session.stats.get(span, [0])[0] >= 1, (session.role, span)
+
+
+def zero_point_m1(data):
+    """Send hook: A's M1 keeps its nonce but carries the all-zero point."""
+    frame, _ = transport.decode_frame(data)
+    if frame.msg_type != transport.MSG_M1:
+        return (data,)
+    nonce = protocol.WireM1.unpack(frame.payload).nonce
+    return (transport.encode_frame(transport.MSG_M1, protocol.WireM1(nonce, bytes(32)).pack()),)
+
+
+def test_outcome_of_reads_what_perfbench_reads(tracing):
+    # the name guard sees modules only; these are the result attributes perfbench reads
+    honest = runner.run_pair(*make_pair(random.Random(1)))
+    res_a, res_b = runner.run_pair(*make_pair(random.Random(1)), a_hooks=[zero_point_m1])
+    silent, _ = runner.run_pair(*make_pair(random.Random(1)), b_hooks=[lambda data: ()],
+                                timeout=0.3)
+    cases = [
+        (honest[0], "established", "established"),
+        (honest[1], "established", "established"),
+        (res_b, "rejected", "aborted (WEAK_POINT)"),
+        (res_a, "failed", "aborted (peer reported WEAK_POINT)"),
+        (silent, "failed", "timeout"),
+    ]
+    for result, outcome, described in cases:
+        assert (tracing.outcome_of(result), result.describe()) == (outcome, described)
+    assert honest[0].session_key == honest[1].session_key

@@ -21,7 +21,9 @@ from lrav.protocol import (
     AbortReason, Phase, WireM1, WireM2, process_m2, produce_own_quote, respond_m1,
 )
 from lrav.provisioning import FLASH_SIZE
-from lrav.runner import SessionResult, key_fingerprint, run_initiator, run_pair, run_responder
+from lrav.runner import (
+    Outcome, SessionResult, key_fingerprint, run_initiator, run_pair, run_responder,
+)
 
 from conftest import make_pair, provision_cli_pair, serve_and_attest
 from oracles import recursive_chain_digest
@@ -68,7 +70,7 @@ class TestRunner:
     def test_timeout_on_silent_responder(self, device_pair):
         dev_a, dev_b = device_pair
         res_a, _ = run_pair(dev_a, dev_b, b_hooks=[lambda data: ()], timeout=0.5)
-        assert res_a.timed_out and not res_a.established
+        assert res_a.outcome is Outcome.TIMEOUT
 
     def test_stray_m1_mid_session_aborts_malformed(self, device_pair):
         # an M1 has no place inside a live session: the initiator expects M2
@@ -178,8 +180,8 @@ class ResetOnSend:
 def test_failed_m2_send_ends_only_that_session(device_pair, capsys):
     _, dev_b = device_pair
     result = run_responder(dev_b, ResetAfterM1(valid_m1()), "alpha")
-    assert not result.established and not result.timed_out and result.reason is None
-    assert result.closed and "reset by peer" in result.error
+    assert result.outcome is Outcome.CLOSED and result.reason is None
+    assert "reset by peer" in result.error
     assert result.state.phase is Phase.ABORTED and result.state.k is None
     assert cli._report(result, dev_b.device_id) == cli.EXIT_TRANSPORT
     assert capsys.readouterr().err.startswith("transport closed (")
@@ -190,12 +192,36 @@ def test_failed_initiator_send_ends_as_closed(device_pair, capsys, fails):
     # a reset under M3 comes after process_m2 set Established: the key must not leak out
     dev_a, dev_b = device_pair
     result = run_initiator(dev_a, ResetOnSend(dev_b, fails), "beta")
-    assert not result.established and result.closed and "reset by peer" in result.error
+    assert result.outcome is Outcome.CLOSED and "reset by peer" in result.error
     assert result.state.phase is Phase.ABORTED and result.state.k is None
     with pytest.raises(ProtocolStateError):
         result.state.session_key()
     assert cli._report(result, dev_a.device_id) == cli.EXIT_TRANSPORT
     assert capsys.readouterr().err.startswith("transport closed (")
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x09"], ids=["empty", "unknown"])
+def test_unknown_peer_reason_is_a_peer_abort(device_pair, capsys, payload):
+    # an error frame without a known reason byte still says the peer aborted
+    dev_a, _ = device_pair
+    ep_a, ep_b = transport.channel_pair()
+
+    def stub_responder():
+        ep_b.recv_frame(5.0)  # A's M1
+        ep_b.send_frame(transport.MSG_ERROR, payload)
+
+    worker = threading.Thread(target=stub_responder)
+    worker.start()
+    try:
+        result = run_initiator(dev_a, ep_a, "beta")
+    finally:
+        worker.join(timeout=10)
+        ep_a.close()
+        ep_b.close()
+    assert not worker.is_alive()
+    assert result.outcome is Outcome.PEER_ABORTED and result.reason is None
+    assert cli._report(result, dev_a.device_id) == cli.EXIT_ABORT
+    assert capsys.readouterr().err == "attestation failed: aborted (peer reported UNKNOWN)\n"
 
 
 def test_unprovisioned_peer_is_a_caller_error_for_the_responder(device_pair):
@@ -218,7 +244,8 @@ def test_responder_deadline_covers_the_whole_session(device_pair):
     late.join()
     ep_a.close()
     ep_b.close()
-    assert result.timed_out and result.state is not None  # M1 taken, M2 sent, no M3
+    # M1 taken, M2 sent, no M3
+    assert result.outcome is Outcome.TIMEOUT and result.state is not None
     assert elapsed < 2.6, elapsed  # per-frame deadlines alone would hold it 3.2 s
 
 
@@ -458,8 +485,16 @@ class TestCli:
         assert capsys.readouterr().out.strip() == recursive_chain_digest(
             firmware[start:end], block).hex()
 
-    @pytest.mark.parametrize("command", ["measure", "provision"])
-    def test_block_zero_is_refused(self, tmp_path, rng, capsys, command):
+    @pytest.mark.parametrize("command, flag, value, message", [
+        pytest.param(command, flag, value, message, id=command + suffix)
+        for flag, value, message, suffix in [
+            ("--block", "0", "block size must be >= 1: 0", ""),
+            ("--start", "", "invalid literal for int() with base 16: ''", "-empty-start"),
+            ("--end", "", "invalid literal for int() with base 16: ''", "-empty-end"),
+        ]
+        for command in ("measure", "provision")
+    ])
+    def test_block_zero_is_refused(self, tmp_path, rng, capsys, command, flag, value, message):
         provision_cli_pair(tmp_path, rng, capsys)
         written = tmp_path / "zero.json"
         argv = {
@@ -467,9 +502,9 @@ class TestCli:
             "provision": ["provision", "--image", str(tmp_path / "alpha.fw"), "--id", "zero",
                           "--profile", str(written), "--seed", "cc" * 32],
         }[command]
-        assert cli.main([*argv, "--block", "0"]) == 2
+        assert cli.main([*argv, flag, value]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: block size must be >= 1: 0\n"
+        assert out == "" and err == f"error: {message}\n"
         assert not written.exists()
 
     def test_serve_with_another_block_size_is_a_measurement_mismatch(self, tmp_path, rng, capsys):
@@ -720,7 +755,7 @@ def test_concurrent_reports_stay_one_per_line(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     monkeypatch.setattr(sys, "stderr", err)
     state = SimpleNamespace(peer_id="alpha", session_key=lambda: bytes(32))
-    results = [SessionResult(True, state), SessionResult(False, timed_out=True)]
+    results = [SessionResult(Outcome.ESTABLISHED, state), SessionResult(Outcome.TIMEOUT)]
     barrier = threading.Barrier(8)
 
     def reporter(n):
@@ -741,3 +776,28 @@ def test_concurrent_reports_stay_one_per_line(monkeypatch):
     assert all(re.fullmatch(rf"established device=dev[0246] peer=alpha key-fp={fp}", line)
                for line in out_lines)
     assert set(err_lines) == {"transport timeout (timeout)"}
+
+
+@pytest.mark.parametrize("result, stream, line, code", [
+    (SessionResult(Outcome.ESTABLISHED,
+                   SimpleNamespace(peer_id="alpha", session_key=lambda: bytes(32))),
+     "out", f"established device=beta peer=alpha key-fp={key_fingerprint(bytes(32))}",
+     cli.EXIT_OK),
+    (SessionResult(Outcome.TIMEOUT), "err", "transport timeout (timeout)", cli.EXIT_TRANSPORT),
+    (SessionResult(Outcome.CLOSED, error="peer closed the connection"),
+     "err", "transport closed (peer closed the connection)", cli.EXIT_TRANSPORT),
+    (SessionResult(Outcome.FAILED, error="bad magic"),
+     "err", "attestation failed: failed (bad magic)", cli.EXIT_ABORT),
+    (SessionResult(Outcome.ABORTED, reason=AbortReason.BAD_TAG, error="session aborted: BAD_TAG"),
+     "err", "attestation failed: aborted (BAD_TAG)", cli.EXIT_ABORT),
+    (SessionResult(Outcome.PEER_ABORTED, reason=AbortReason.MEASUREMENT_MISMATCH),
+     "err", "attestation failed: aborted (peer reported MEASUREMENT_MISMATCH)", cli.EXIT_ABORT),
+    (SessionResult(Outcome.PEER_ABORTED),
+     "err", "attestation failed: aborted (peer reported UNKNOWN)", cli.EXIT_ABORT),
+], ids=["established", "timeout", "closed", "failed", "aborted", "peer-aborted",
+        "peer-aborted-unknown"])
+def test_report_of_every_outcome(capsys, result, stream, line, code):
+    assert cli._report(result, "beta") == code
+    captured = capsys.readouterr()
+    assert getattr(captured, stream) == line + "\n"
+    assert "".join(captured) == line + "\n"  # and nothing on the other stream
