@@ -5,12 +5,17 @@ Exit codes are stable: 0 success/Established, 1 protocol abort or failed
 attack scenario, 2 usage or validation error, 3 transport failure. Secret
 material (signing seeds, session keys) never appears in any output; session
 keys are reported as an 8-hex-char fingerprint.
+
+`main` may be called repeatedly in one process, also from several threads at
+once. Every call shares one argument parser, built on the first call:
+parsing reads the parser and writes only to a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import threading
@@ -29,6 +34,7 @@ from .provisioning import (
     DeviceProfile,
     TrustStore,
     build_device,
+    check_peer_id,
     compute_expected,
     flash_region,
     format_trust_record,
@@ -50,6 +56,10 @@ EXIT_TRANSPORT = 3
 SERVE_WORKERS = 8
 ACCEPT_RETRY_S = 0.1  # back-off after a failed accept
 BENCH_ITERS = 20  # `lrav bench` iterations without --iters
+# The longest --timeout: CPython passes a socket's timeout to poll(2) in
+# milliseconds as a C int, so a longer one wraps: 4294968 s (2**32 + 704 ms)
+# times out after 0.7 s.
+MAX_TIMEOUT_S = 2_147_483
 
 _OUTPUT_LOCK = threading.Lock()
 
@@ -114,6 +124,7 @@ def _report(result: SessionResult, device_id: str) -> int:
 # --- subcommands --------------------------------------------------------------
 
 def cmd_provision(args) -> int:
+    check_peer_id(args.id)  # before anything is written
     image_path = Path(args.image)
     if not image_path.is_file():
         _eprint(f"firmware image not found: {image_path}")
@@ -264,6 +275,17 @@ def cmd_attack(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+def _timeout(value: str) -> float:
+    try:
+        seconds = float(value)
+    except ValueError:  # argparse's own message for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not 0 < seconds <= MAX_TIMEOUT_S:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be more than 0 and at most {MAX_TIMEOUT_S} seconds, got {value!r}")
+    return seconds
+
+
 def _add_common(sub: argparse.ArgumentParser, *, profile=False, trust=False, addr=False):
     if profile:
         sub.add_argument("--profile", required=True, help="device profile path (JSON)")
@@ -271,7 +293,7 @@ def _add_common(sub: argparse.ArgumentParser, *, profile=False, trust=False, add
         sub.add_argument("--trust", required=True, help="trust store path")
     if addr:
         sub.add_argument("--addr", required=True, help="HOST:PORT")
-        sub.add_argument("--timeout", type=float, default=transport.DEFAULT_TIMEOUT,
+        sub.add_argument("--timeout", type=_timeout, default=transport.DEFAULT_TIMEOUT,
                          help="receive deadline in seconds: for the initiator's M2, and for the "
                               "responder's M1 and M3 together (default %(default)s)")
 
@@ -282,6 +304,7 @@ def _add_range(sub: argparse.ArgumentParser):
     sub.add_argument("--block", type=int, help="hash block size in bytes")
 
 
+@functools.cache  # built once: see the module docstring
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrav",
@@ -333,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:

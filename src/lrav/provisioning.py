@@ -73,6 +73,23 @@ def compute_expected(image: MemoryImage, config: crtm.AttestationConfig) -> crtm
 
 # --- trust store -------------------------------------------------------------
 
+def check_peer_id(peer_id: str) -> None:
+    """ValueError unless a `peer` line carries `peer_id` back unchanged.
+
+    That takes 1..64 UTF-8 bytes: whitespace would split the line, and `#`
+    would start a comment.
+    """
+    try:
+        size = len(peer_id.encode())
+    except UnicodeEncodeError:  # a lone surrogate, as undecodable argv bytes become
+        size = 0
+    if not 0 < size <= MAX_PEER_ID_BYTES or "#" in peer_id or any(c.isspace() for c in peer_id):
+        raise ValueError(
+            f"peer id must be 1..{MAX_PEER_ID_BYTES} UTF-8 bytes without whitespace or '#': "
+            f"{peer_id!r}"
+        )
+
+
 @dataclass(frozen=True)
 class TrustedPeer:
     verify_key: bytes
@@ -90,8 +107,7 @@ class TrustStore:
 
     def __init__(self, entries: Mapping[str, TrustedPeer]):
         for peer_id in entries:
-            if not peer_id or len(peer_id.encode()) > MAX_PEER_ID_BYTES:
-                raise ValueError(f"peer id must be 1..{MAX_PEER_ID_BYTES} bytes: {peer_id!r}")
+            check_peer_id(peer_id)
         self._entries = MappingProxyType(dict(entries))
 
     def get(self, peer_id: str) -> TrustedPeer | None:
@@ -161,9 +177,11 @@ def parse_trust_store(text: str) -> TrustStore:
                 raise ParseError(lineno, "peer line needs exactly one id")
             if fields[1] in entries:
                 raise DuplicatePeer(f"line {lineno}: duplicate peer {fields[1]!r}")
+            try:
+                check_peer_id(fields[1])
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
             peer_id, peer_line = fields[1], lineno
-            if len(peer_id.encode()) > MAX_PEER_ID_BYTES:
-                raise ParseError(lineno, f"peer id longer than {MAX_PEER_ID_BYTES} bytes")
         elif tag == "key":
             if key is not None:
                 raise ParseError(lineno, f"peer {peer_id!r} already has a key")

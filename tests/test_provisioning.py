@@ -164,6 +164,11 @@ class TestTrustStoreFormat:
             parse_trust_store("banana split")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("peer_id", ["a b", "", "x" * 65, "dev#1", "a\u2028b", "\udcff"])
+    def test_store_refuses_an_id_a_peer_line_cannot_carry(self, rng, peer_id):
+        with pytest.raises(ValueError, match="without whitespace or '#'"):
+            TrustStore({peer_id: sample_store(rng).get("alpha")})
+
     def test_store_has_no_mutation_api(self, rng):
         store = sample_store(rng)
         with pytest.raises(TypeError):

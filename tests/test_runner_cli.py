@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import os
 import re
@@ -20,7 +21,7 @@ from lrav.errors import ChannelClosed, ProtocolStateError, UnknownPeer
 from lrav.protocol import (
     AbortReason, Phase, WireM1, WireM2, process_m2, produce_own_quote, respond_m1,
 )
-from lrav.provisioning import FLASH_SIZE
+from lrav.provisioning import FLASH_SIZE, parse_trust_store
 from lrav.runner import (
     Outcome, SessionResult, key_fingerprint, run_initiator, run_pair, run_responder,
 )
@@ -442,10 +443,11 @@ class TestCli:
             serve.communicate(timeout=10)
         assert code == 0 and still_serving
 
-    def test_provision_is_reproducible(self, tmp_path, rng, capsys):
+    @pytest.mark.parametrize("device_id", ["dev", "\u00e9" * 32])  # the longest id: 64 bytes
+    def test_provision_is_reproducible(self, tmp_path, rng, capsys, device_id):
         fw = tmp_path / "fw.bin"
         fw.write_bytes(rng.randbytes(4096))
-        argv = ["provision", "--image", str(fw), "--id", "dev",
+        argv = ["provision", "--image", str(fw), "--id", device_id,
                 "--profile", str(tmp_path / "p1.json"), "--seed", "cc" * 32]
         assert cli.main(argv) == 0
         first = capsys.readouterr().out
@@ -453,6 +455,20 @@ class TestCli:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == first
         assert "key " in first and "expect " in first
+        assert parse_trust_store(first).resolve(None) == device_id
+
+    @pytest.mark.parametrize("device_id", ["a b", "", "x" * 70, "dev#1", "tab\tid", "a\u2028b"])
+    def test_provision_refuses_an_id_its_record_cannot_carry(self, tmp_path, capsys, device_id):
+        fw = tmp_path / "fw.bin"
+        fw.write_bytes(bytes(4096))
+        profile = tmp_path / "dev.json"
+        assert cli.main([
+            "provision", "--image", str(fw), "--id", device_id, "--profile", str(profile),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not profile.exists()
+        assert captured.err == (
+            f"error: peer id must be 1..64 UTF-8 bytes without whitespace or '#': {device_id!r}\n")
 
     def test_provision_missing_image_exits_2(self, tmp_path, capsys):
         assert cli.main([
@@ -525,9 +541,10 @@ class TestCli:
             "attestation failed: aborted (MEASUREMENT_MISMATCH)",
         ]
 
-    def test_serve_attest_loopback(self, tmp_path, rng, capsys):
+    @pytest.mark.parametrize("timeout", ["2.0", "2147483"])  # the default's order, the longest
+    def test_serve_attest_loopback(self, tmp_path, rng, capsys, timeout):
         provision_cli_pair(tmp_path, rng, capsys)
-        assert serve_and_attest(tmp_path, capsys) == {"serve": 0, "attest": 0}
+        assert serve_and_attest(tmp_path, capsys, timeout) == {"serve": 0, "attest": 0}
         fingerprints = {
             line.split("key-fp=")[1]
             for line in capsys.readouterr().out.splitlines()
@@ -543,6 +560,25 @@ class TestCli:
         fw.write_bytes(data)
         assert serve_and_attest(tmp_path, capsys)["attest"] == 1
         assert "MEASUREMENT_MISMATCH" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "1e300", "nan", "0", "-1", "4294968"])
+    @pytest.mark.parametrize("name, command", [("alpha", "attest"), ("beta", "serve")])
+    def test_timeout_a_socket_cannot_take_is_a_usage_error(
+        self, tmp_path, rng, capsys, name, command, value
+    ):
+        # 4294968 s is 2**32 ms + 704 ms, which a socket's poll(2) wraps to 0.7 s
+        provision_cli_pair(tmp_path, rng, capsys)
+        argv = [command, "--profile", str(tmp_path / f"{name}.json"),
+                "--trust", str(tmp_path / f"{name}.trust"), "--timeout", value]
+        argv += ["--once"] if command == "serve" else []
+        with refused_port() as port, pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--addr", f"127.0.0.1:{port}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"lrav {command}: error: argument --timeout: must be more than 0 and at most "
+            f"2147483 seconds, got {value!r}\n")
 
     def test_attest_with_no_responder_exits_3(self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
@@ -735,6 +771,62 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "scenario,expected,observed,status"
         assert len(lines) >= 11
+
+
+class TestParserReuse:
+    def test_later_calls_build_no_parser_and_keep_the_defaults(
+        self, tmp_path, rng, capsys, monkeypatch
+    ):
+        provision_cli_pair(tmp_path, rng, capsys)  # the first calls may build the parser
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        measure = ["measure", "--profile", str(tmp_path / "alpha.json")]
+        provision_cli_pair(tmp_path, rng, capsys)
+        assert cli.main([*measure, "--block", "64"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*measure, "--block", "x"])
+        assert exc.value.code == 2
+        assert cli.main(measure) == 0
+        assert built == []
+        out = capsys.readouterr().out.split()
+        firmware = (tmp_path / "alpha.fw").read_bytes()
+        assert out == [recursive_chain_digest(firmware, 64).hex(),
+                       recursive_chain_digest(firmware, 1024).hex()]  # not --block 64 again
+
+    def test_concurrent_callers_share_one_parser(self):
+        shared = cli._build_parser()
+        workers, rounds = 8, 200
+        seen, wrong = set(), []
+
+        def parse(i: int) -> None:
+            for r in range(rounds):
+                parser = cli._build_parser()
+                seen.add(id(parser))
+                block = i * rounds + r + 1
+                args = parser.parse_args(["measure", "--profile", f"p{i}", "--block", str(block)])
+                if (args.command, args.profile, args.block, args.trust) != (
+                    "measure", f"p{i}", block, None
+                ):
+                    wrong.append(vars(args))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {id(shared)} and wrong == []
 
 
 def test_concurrent_reports_stay_one_per_line(monkeypatch):
