@@ -3,8 +3,9 @@
     python3 tools/bench_pairs.py --base HEAD~1 --pairs mem-64k=10 --pairs tcp-4m=4 \\
         --seed 2201 --out BENCH_22.json --claim mem-64k:setup_s
 
-The base side is ``git archive BASE`` extracted into ``.bench_build/`` (git
-ignores it); the change side is this working tree, run in place. Each tree
+Both sides are committed revisions: ``git archive`` of BASE (the parent) and
+of HEAD (the change), each extracted into ``.bench_build/`` (git ignores it),
+so uncommitted edits in the working tree are never measured. Each tree
 imports lrav once before any timing, so both have built their accelerator.
 
 Every pair runs ``perfbench/run.py --trace 0`` once on each side with the
@@ -12,13 +13,15 @@ same workload and seed; the side that runs first alternates from pair to
 pair within each workload, and the workloads take turns, so host drift
 reaches both sides alike. One traced pair per workload (``--trace 1``)
 follows, for the per-layer figures. Run length is BENCHMARK.json's
-``run_seconds`` unless ``--seconds`` says otherwise.
+``run_seconds``.
 
 Each end-to-end metric is summarised per workload with its quartiles on both
 sides, the pairs the change wins, the parent's IQR, the gap between the
 medians and a verdict, against the metric's ``bound`` and ``better`` in
-BENCHMARK.json. Exits 1 if any run exits non-zero or reports incorrect
-outputs; the file is written either way, with every run made.
+BENCHMARK.json. A gain counts only if the change fails no more operations
+than the parent over the same pairs. Exits 1 if any run exits non-zero or
+reports incorrect outputs; the file is written either way, with every run
+made.
 
 Standard library only. It reads perfbench/ and BENCHMARK.json and changes
 neither.
@@ -49,9 +52,12 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
 
 
-def extract(rev: str) -> Path:
-    """A fresh copy of `rev`'s committed files under .bench_build/."""
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+def commit_of(rev: str) -> str:
+    return git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+
+
+def extract(commit: str) -> Path:
+    """A fresh copy of `commit`'s files under .bench_build/."""
     tree = BUILD / commit[:12]
     shutil.rmtree(tree, ignore_errors=True)
     tree.mkdir(parents=True)
@@ -135,10 +141,11 @@ def summarise(pairs: list[dict], metric: dict) -> dict | None:
     """One metric over the pairs in which both sides reported it."""
     name, bound = metric["name"], metric["bound"]
     sign = 1 if metric["better"] == "lower" else -1  # sign * (change - parent) < 0: better
-    both = [(p["parent"][name], p["change"][name]) for p in pairs
-            if name in p["parent"] and name in p["change"]]
-    if not both:
+    used = [p for p in pairs if name in p["parent"] and name in p["change"]]
+    if not used:
         return None
+    both = [(p["parent"][name], p["change"][name]) for p in used]
+    failed = {side: sum(p["failed"][side] for p in used) for side in SIDES}
     parent, change = ([b[i] for b in both] for i in (0, 1))
     qp, qc = quartiles(parent), quartiles(change)
     wins = sum(1 for p, c in both if sign * (c - p) < 0)
@@ -165,8 +172,12 @@ def summarise(pairs: list[dict], metric: dict) -> dict | None:
         "bound": bound,
         "parent_iqr_frac": sig(iqr / qp["median"]),
         "worse_by_more_than_parent_iqr": sign * delta > iqr,
-        # the rule a claimed gain must meet: 9 of 10 pairs, and more than the parent's IQR
-        "gain_rule_met": 10 * wins >= 9 * len(both) and -sign * delta > iqr,
+        "failed": failed,
+        "change_fails_no_more": failed["change"] <= failed["parent"],
+        # the rule a claimed gain must meet: 9 of 10 pairs, more than the parent's IQR,
+        # and no more failed operations than the parent
+        "gain_rule_met": (10 * wins >= 9 * len(both) and -sign * delta > iqr
+                          and failed["change"] <= failed["parent"]),
         "verdict": verdict,
     }
 
@@ -188,19 +199,6 @@ def parse_pairs(value: str) -> tuple[str, int]:
     return workload, int(n)
 
 
-def run_args(argv: list[str]) -> list[str]:
-    """`argv` without its prose (--title, --note), which the file records elsewhere."""
-    kept, skip = [], False
-    for arg in argv:
-        if skip:
-            skip = False
-        elif arg in ("--title", "--note"):
-            skip = True
-        elif not arg.startswith(("--title=", "--note=")):
-            kept.append(arg)
-    return kept
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -209,7 +207,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="WORKLOAD=N", help="pairs to run on a workload (repeat per workload)")
     parser.add_argument("--seed", type=int, required=True,
                         help="first seed; each pair, traced ones included, takes the next")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     parser.add_argument("--title", default="", help="what the change does")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
@@ -228,9 +225,10 @@ def main(argv: list[str] | None = None) -> int:
         claim = tuple(args.claim.split(":", 1))
         if claim[0] not in plan or claim[1] not in {m["name"] for m in metrics}:
             parser.error(f"--claim must name a run workload and an end-to-end metric: {args.claim}")
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
-    trees = {"parent": extract(args.base), "change": ROOT}
+    commits = {"parent": commit_of(args.base), "change": commit_of("HEAD")}
+    trees = {side: extract(commit) for side, commit in commits.items()}
     for tree in trees.values():
         build_accelerator(tree)
 
@@ -264,10 +262,9 @@ def main(argv: list[str] | None = None) -> int:
         "title": args.title,
         "command": f"python3 perfbench/run.py --workload {{{'|'.join(plan)}}} --seed N "
                    f"--seconds {seconds:g} --trace 0",
-        "produced_by": shlex.join(["python3", "tools/bench_pairs.py", *run_args(argv)]),
-        "parent": f"{trees['parent'].name} (git archive of {args.base})",
-        "change": "the working tree, "
-                  + git("describe", "--always", "--dirty").decode().strip(),
+        "produced_by": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
+        "parent": f"{commits['parent']} (git archive of {args.base})",
+        "change": f"{commits['change']} (git archive of HEAD)",
         "procedure": (
             "Each pair runs the same workload and seed on both trees, one after the other; "
             "the side that runs first alternates from pair to pair within each workload, and "
@@ -279,8 +276,9 @@ def main(argv: list[str] | None = None) -> int:
             "change's median is worse than the parent's by more than the BENCHMARK.json bound, "
             "'unresolved' when the parent's own IQR is wider than the bound (as a fraction of "
             "its median), and 'within bound' otherwise. 'gain_rule_met' is true when the "
-            "change wins at least 9 of 10 pairs and its median is better by more than the "
-            "parent's IQR."
+            "change wins at least 9 of 10 pairs, its median is better by more than the "
+            "parent's IQR, and its runs failed no more operations in total than the "
+            "parent's ('change_fails_no_more', over the pairs in 'failed')."
         ),
         "host": {
             "nproc": os.cpu_count(),
