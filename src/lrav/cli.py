@@ -56,10 +56,6 @@ EXIT_TRANSPORT = 3
 SERVE_WORKERS = 8
 ACCEPT_RETRY_S = 0.1  # back-off after a failed accept
 BENCH_ITERS = 20  # `lrav bench` iterations without --iters
-# The longest --timeout: CPython passes a socket's timeout to poll(2) in
-# milliseconds as a C int, so a longer one wraps: 4294968 s (2**32 + 704 ms)
-# times out after 0.7 s.
-MAX_TIMEOUT_S = 2_147_483
 
 _OUTPUT_LOCK = threading.Lock()
 
@@ -125,6 +121,8 @@ def _report(result: SessionResult, device_id: str) -> int:
 
 def cmd_provision(args) -> int:
     check_peer_id(args.id)  # before anything is written
+    if not args.profile and "/" in args.id:  # the id would pick the profile's directory
+        raise ValueError(f"an id containing '/' needs --profile for the profile path: {args.id!r}")
     image_path = Path(args.image)
     if not image_path.is_file():
         _eprint(f"firmware image not found: {image_path}")
@@ -235,12 +233,11 @@ def cmd_bench(args) -> int:
     # load (and, without bytecode caching, compile) what they never run
     from . import bench
 
-    iters = args.iters or BENCH_ITERS
-    samples = bench.crtm_bench(iters=iters)
+    samples = bench.crtm_bench(iters=args.iters)
     if args.format == "csv":
         print(bench.format_csv(samples), flush=True)
     else:
-        print(bench.format_text(samples, iters), flush=True)
+        print(bench.format_text(samples, args.iters), flush=True)
     return EXIT_OK
 
 
@@ -280,10 +277,20 @@ def _timeout(value: str) -> float:
         seconds = float(value)
     except ValueError:  # argparse's own message for type=float
         raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
-    if not 0 < seconds <= MAX_TIMEOUT_S:  # also false for nan
+    if not 0 < seconds <= transport.MAX_TIMEOUT_S:  # also false for nan
         raise argparse.ArgumentTypeError(
-            f"must be more than 0 and at most {MAX_TIMEOUT_S} seconds, got {value!r}")
+            f"must be more than 0 and at most {transport.MAX_TIMEOUT_S} seconds, got {value!r}")
     return seconds
+
+
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value!r}")
+    return number
 
 
 def _add_common(sub: argparse.ArgumentParser, *, profile=False, trust=False, addr=False):
@@ -342,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attest)
 
     p = sub.add_parser("bench", help="CRTM scaling benchmarks")
-    p.add_argument("--iters", type=int, help=f"iterations (default {BENCH_ITERS})")
+    p.add_argument("--iters", type=_positive_int, default=BENCH_ITERS,
+                   help=f"iterations (default {BENCH_ITERS})")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_bench)
 

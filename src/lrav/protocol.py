@@ -161,31 +161,23 @@ class WireM3:
 # --- session state ----------------------------------------------------------
 
 @dataclass
-class EcdhEphemeral:
-    secret: Optional[X25519PrivateKey]
-    public: bytes
-
-    @classmethod
-    def generate(cls) -> "EcdhEphemeral":
-        secret = X25519PrivateKey.generate()
-        return cls(secret, secret.public_key().public_bytes_raw())
-
-    @property
-    def cleared(self) -> bool:
-        return self.secret is None
-
-
-@dataclass
 class SessionState:
     role: Role
     peer_id: str
     phase: Phase = Phase.START
     my_nonce: bytes = b""
     peer_nonce: bytes = b""
-    eph: EcdhEphemeral = field(default_factory=EcdhEphemeral.generate)
     peer_point: bytes = b""
     k: Optional[bytes] = None
     abort_reason: Optional[AbortReason] = None
+    # our X25519 scalar, held only until K is derived, and our point
+    scalar: Optional[X25519PrivateKey] = field(init=False)
+    my_point: bytes = field(init=False)
+
+    def __post_init__(self):
+        # looked up at call time, so a patched generator is used
+        self.scalar = X25519PrivateKey.generate()
+        self.my_point = self.scalar.public_key().public_bytes_raw()
 
     def nonces(self) -> tuple[bytes, bytes]:
         """(n_A, n_B) regardless of which side we are."""
@@ -209,18 +201,21 @@ class SessionState:
             "peer_nonce": self.peer_nonce.hex(),
             "peer_point": self.peer_point.hex(),
             "has_session_key": self.k is not None,
-            "ephemeral_secret_cleared": self.eph.cleared,
+            "ephemeral_secret_cleared": self.scalar is None,
             "abort_reason": self.abort_reason.name if self.abort_reason else None,
         }
+
+    def abort(self, reason: Optional[AbortReason]) -> None:
+        """End the session short of Established: drop K and the X25519 scalar."""
+        self.phase, self.abort_reason = Phase.ABORTED, reason
+        self.k = self.scalar = None
 
     def __repr__(self):
         return f"SessionState({self.role.value}, {self.phase.value}, peer={self.peer_id!r})"
 
 
 def _abort(st: SessionState, reason: AbortReason, message: str | None = None):
-    st.phase = Phase.ABORTED
-    st.abort_reason = reason
-    st.k = None
+    st.abort(reason)
     raise ProtocolAbort(reason, message)
 
 
@@ -277,15 +272,15 @@ def _agree(st: SessionState, point: bytes) -> None:
 
     The ephemeral scalar is cleared whatever the outcome.
     """
-    assert st.eph.secret is not None
+    assert st.scalar is not None
     st.peer_point = point
     try:
-        shared = st.eph.secret.exchange(X25519PublicKey.from_public_bytes(point))
+        shared = st.scalar.exchange(X25519PublicKey.from_public_bytes(point))
         st.k = derive_session_key(shared, *st.nonces())
     except (ValueError, WeakPoint) as exc:  # backend rejects low-order/zero results
         _abort(st, AbortReason.WEAK_POINT, str(exc))
     finally:
-        st.eph.secret = None
+        st.scalar = None
 
 
 def produce_own_quote(dev: DeviceState) -> bytes:
@@ -302,7 +297,7 @@ def _seal_flight(dev: DeviceState, st: SessionState, direction: Direction, stage
     Our own point comes first in the transcript we sign.
     """
     n_a, n_b = st.nonces()
-    digest = transcript_hash(staged, n_a, n_b, st.eph.public, st.peer_point)
+    digest = transcript_hash(staged, n_a, n_b, st.my_point, st.peer_point)
     sig = sign_transcript_gated(dev, digest)
     return ae_seal(st.k, direction, n_a, n_b, staged + sig)
 
@@ -318,7 +313,7 @@ def _open_flight(dev: DeviceState, st: SessionState, direction: Direction, box: 
         _abort(st, AbortReason.MALFORMED, f"inner plaintext must be {INNER_BYTES} bytes")
     quote_bytes, sig = inner[:QUOTE_WIRE_BYTES], inner[QUOTE_WIRE_BYTES:]
     peer = dev.trust.get(st.peer_id)
-    digest = transcript_hash(quote_bytes, n_a, n_b, st.peer_point, st.eph.public)
+    digest = transcript_hash(quote_bytes, n_a, n_b, st.peer_point, st.my_point)
     try:
         Ed25519PublicKey.from_public_bytes(peer.verify_key).verify(sig, digest)
     except (InvalidSignature, ValueError):
@@ -346,7 +341,7 @@ def initiate(dev: DeviceState, peer_id: str) -> tuple[SessionState, WireM1]:
     st = SessionState(role=Role.INITIATOR, peer_id=dev.trust.resolve(peer_id))
     st.my_nonce = secrets.token_bytes(NONCE_BYTES)
     st.phase = Phase.SENT_M1
-    return st, WireM1(st.my_nonce, st.eph.public)
+    return st, WireM1(st.my_nonce, st.my_point)
 
 
 def respond_m1(
@@ -368,7 +363,7 @@ def respond_m1(
     _agree(st, m1.point)
     box = _seal_flight(dev, st, Direction.M2, produce_own_quote(dev))
     st.phase = Phase.SENT_M2
-    return st, WireM2(st.my_nonce, st.eph.public, box)
+    return st, WireM2(st.my_nonce, st.my_point, box)
 
 
 def process_m2(

@@ -6,7 +6,8 @@ CLOSED for a channel closed under a send or a receive, FAILED for an
 undecodable frame, PEER_ABORTED for the peer's error frame (recorded, never
 trusted), or ABORTED for a local abort (`reason`), which first sends one
 plaintext courtesy error frame (type 0xFF, one reason byte). Any session
-state is left ABORTED with K cleared.
+state is left ABORTED with K and the X25519 scalar dropped
+(`SessionState.abort`).
 A caller error is the caller's mistake, not the peer's, and propagates: an
 unprovisioned peer (`UnknownPeer`), a device whose gate will not sign
 (`GateViolation`), a message fed in the wrong phase (`ProtocolStateError`).
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .protocol import (
     AbortReason,
-    Phase,
     SessionState,
     WireM1,
     WireM2,
@@ -109,7 +109,7 @@ def _early_end(ep, st: SessionState | None, exc: Exception) -> SessionResult:
     """The result of a session that ended before Established (see the module docstring)."""
     reason = getattr(exc, "reason", None)
     if st is not None:
-        st.phase, st.abort_reason, st.k = Phase.ABORTED, reason, None
+        st.abort(reason)
     if isinstance(exc, TransportTimeout):
         return SessionResult(Outcome.TIMEOUT, st)
     if isinstance(exc, ChannelClosed):

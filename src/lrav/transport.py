@@ -28,6 +28,10 @@ VERSION = 0x01
 HEADER_BYTES = 10
 MAX_PAYLOAD = 65536
 DEFAULT_TIMEOUT = 5.0
+# The longest timeout: CPython passes a socket's timeout to poll(2) in
+# milliseconds as a C int, so a longer one wraps: 4294968 s (2**32 + 704 ms)
+# times out after 0.7 s.
+MAX_TIMEOUT_S = 2_147_483
 
 MSG_M1 = 0x01
 MSG_M2 = 0x02
@@ -38,6 +42,12 @@ _VALID_TYPES = frozenset({MSG_M1, MSG_M2, MSG_M3, MSG_ERROR})
 _HEADER = struct.Struct(">4sBBI")
 
 FrameHook = Callable[[bytes], Iterable[bytes]]
+
+
+def _check_timeout(timeout: float) -> float:
+    if not timeout <= MAX_TIMEOUT_S:  # also true for nan
+        raise ValueError(f"timeout must be at most {MAX_TIMEOUT_S} seconds, got {timeout!r}")
+    return timeout
 
 
 class Frame(NamedTuple):
@@ -107,9 +117,9 @@ class TcpEndpoint:
         """Next frame; TransportTimeout unless all of it arrives within `timeout`.
 
         The deadline covers the whole frame, so a peer that drips bytes
-        cannot hold the receiver past it.
+        cannot hold the receiver past it. Zero or less has already expired.
         """
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + _check_timeout(timeout)
         while True:
             try:
                 frame, rest = decode_frame(self._rx)
@@ -173,7 +183,7 @@ class TcpListener:
         concurrent acceptors make no per-call mode switch.
         """
         if timeout is not None:
-            self._sock.settimeout(timeout)
+            self._sock.settimeout(_check_timeout(timeout))
         try:
             conn, _ = self._sock.accept()
         except socket.timeout:
@@ -185,5 +195,5 @@ class TcpListener:
 
 
 def dial(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpEndpoint:
-    sock = socket.create_connection((host, port), timeout=timeout)
+    sock = socket.create_connection((host, port), timeout=_check_timeout(timeout))
     return TcpEndpoint(sock)

@@ -126,7 +126,7 @@ class TestHonestRun:
 
     def test_ephemeral_scalars_cleared(self, device_pair):
         st_a, st_b, _ = honest_run(*device_pair)
-        assert st_a.eph.cleared and st_b.eph.cleared
+        assert st_a.scalar is None and st_b.scalar is None
         for snap in (st_a.snapshot(), st_b.snapshot()):
             assert snap["ephemeral_secret_cleared"] is True
             assert "secret" not in str(snap) or "cleared" in str(snap)
@@ -372,7 +372,7 @@ class TestProcessM2Aborts:
             with pytest.raises(ProtocolAbort) as exc:
                 process_m2(dev_a, st_a, WireM2(m2.nonce, point, m2.box), staged)
             assert exc.value.reason is AbortReason.WEAK_POINT
-            assert st_a.phase is Phase.ABORTED and st_a.eph.cleared
+            assert st_a.phase is Phase.ABORTED and st_a.scalar is None
 
     def test_flipped_box_bit_is_bad_tag(self, device_pair):
         dev_a, dev_b = device_pair

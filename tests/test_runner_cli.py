@@ -195,10 +195,37 @@ def test_failed_initiator_send_ends_as_closed(device_pair, capsys, fails):
     result = run_initiator(dev_a, ResetOnSend(dev_b, fails), "beta")
     assert result.outcome is Outcome.CLOSED and "reset by peer" in result.error
     assert result.state.phase is Phase.ABORTED and result.state.k is None
+    assert result.state.snapshot()["ephemeral_secret_cleared"] is True
     with pytest.raises(ProtocolStateError):
         result.state.session_key()
     assert cli._report(result, dev_a.device_id) == cli.EXIT_TRANSPORT
     assert capsys.readouterr().err.startswith("transport closed (")
+
+
+def short_m2(data):
+    frame, _ = transport.decode_frame(data)
+    if frame.msg_type == transport.MSG_M2:
+        return (transport.encode_frame(frame.msg_type, frame.payload[:-1]),)
+    return (data,)
+
+
+@pytest.mark.parametrize("hook, outcome, reason", [
+    (lambda data: (), Outcome.TIMEOUT, None),
+    (lambda data: (b"NOPE" + data[4:],), Outcome.FAILED, None),
+    (lambda data: (transport.encode_frame(transport.MSG_ERROR, bytes([AbortReason.BAD_TAG])),),
+     Outcome.PEER_ABORTED, AbortReason.BAD_TAG),
+    (short_m2, Outcome.ABORTED, AbortReason.MALFORMED),
+], ids=["dropped", "bad-magic", "peer-error", "short-m2"])
+def test_every_early_end_leaves_no_session_secret(device_pair, hook, outcome, reason):
+    # the initiator ends before it processes M2, while it still holds its X25519 scalar
+    res_a, res_b = run_pair(*device_pair, b_hooks=[hook], timeout=0.3)
+    assert (res_a.outcome, res_a.reason) == (outcome, reason)
+    assert not res_b.established
+    for st in (res_a.state, res_b.state):
+        assert st.phase is Phase.ABORTED and st.k is None
+        assert st.snapshot()["ephemeral_secret_cleared"] is True
+        with pytest.raises(ProtocolStateError):
+            st.session_key()
 
 
 @pytest.mark.parametrize("payload", [b"", b"\x09"], ids=["empty", "unknown"])
@@ -470,6 +497,22 @@ class TestCli:
         longest = "\u00e9" * 32  # 64 bytes
         assert cli.main([*argv, longest]) == 0
         assert parse_trust_store(capsys.readouterr().out).resolve(None) == longest
+
+    def test_provision_without_profile_refuses_a_path_in_the_id(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # without --profile the id names the profile file, so it must not name a directory
+        fw = tmp_path / "fw.bin"
+        fw.write_bytes(bytes(4096))
+        work = tmp_path / "work"
+        (work / "no").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        for device_id in ["../outside", "no/such"]:
+            assert cli.main(["provision", "--image", str(fw), "--id", device_id]) == 2, device_id
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--profile" in captured.err
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+            Path("fw.bin"), Path("work"), Path("work/no")]
 
     def test_provision_missing_image_exits_2(self, tmp_path, capsys):
         assert cli.main([
@@ -768,6 +811,16 @@ class TestCli:
         assert exc.value.code == 0
         assert f"iterations (default {cli.BENCH_ITERS})" in capsys.readouterr().out
         assert cli.BENCH_ITERS == 20
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bench_iters_must_be_positive(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--iters", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"lrav bench: error: argument --iters: must be at least 1, got {value!r}\n")
 
     def test_attack_subcommand_single_scenario(self, capsys):
         assert cli.main(["attack", "--only", "qsk-read-attempt"]) == 0

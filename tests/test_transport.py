@@ -1,3 +1,4 @@
+import math
 import random
 import socket
 import threading
@@ -202,6 +203,38 @@ class TestTcp:
         client.close()
         accepted["ep"].close()
         listener.close()
+
+
+@pytest.mark.parametrize("timeout", [4294967.796, math.inf, math.nan], ids=["wraps", "inf", "nan"])
+def test_timeouts_the_socket_layer_cannot_take_are_refused(timeout):
+    # 4294967.796 s is 2**32 ms + 500 ms, which a socket's poll(2) wraps to 0.5 s
+    listener = TcpListener("127.0.0.1", 0)
+    a, b = channel_pair()
+    try:
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="at most 2147483 seconds"):
+            dial(*listener.address, timeout=timeout).close()
+        with pytest.raises(ValueError, match="at most 2147483 seconds"):
+            a.recv_frame(timeout)
+        with pytest.raises(ValueError, match="at most 2147483 seconds"):
+            listener.accept(timeout=timeout).close()
+        assert time.monotonic() - start < 0.25
+    finally:
+        a.close()
+        b.close()
+        listener.close()
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0])
+def test_an_expired_deadline_is_a_timeout(timeout):
+    # run_responder passes what is left of its deadline, which may be nothing
+    a, b = channel_pair()
+    try:
+        with pytest.raises(TransportTimeout):
+            a.recv_frame(timeout)
+    finally:
+        a.close()
+        b.close()
 
 
 def test_recv_deadline_covers_the_whole_frame():
