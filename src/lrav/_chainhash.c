@@ -24,6 +24,9 @@
 
 #define RATE 136  /* SHA3-256: 1600 - 2 * 256 bits */
 #define LANES 4   /* Keccak states permuted together, one per vector element */
+/* Shorter inputs hash with the GIL held, as hashlib's HASHLIB_GIL_MINSIZE:
+ * releasing and retaking it would cost more than the hash itself. */
+#define GIL_MINSIZE 2048
 
 typedef uint64_t lanes_t __attribute__((vector_size(8 * LANES)));
 
@@ -291,9 +294,13 @@ chained_sha3_256(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "input must be non-empty");
         return NULL;
     }
-    Py_BEGIN_ALLOW_THREADS
-    chain_kernel(data.buf, data.len, block, digest);
-    Py_END_ALLOW_THREADS
+    if (data.len < GIL_MINSIZE) {
+        chain_kernel(data.buf, data.len, block, digest);
+    } else {
+        Py_BEGIN_ALLOW_THREADS
+        chain_kernel(data.buf, data.len, block, digest);
+        Py_END_ALLOW_THREADS
+    }
     PyBuffer_Release(&data);
     return PyBytes_FromStringAndSize((const char *)digest, 32);
 }

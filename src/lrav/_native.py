@@ -13,12 +13,12 @@ importing lrav raises ImportError naming the cache and the cause.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import importlib.machinery
 import importlib.util
 import os
-import tempfile
 from pathlib import Path
+
+from cryptography.hazmat.primitives import hashes
 
 _SRC = Path(__file__).with_name("_chainhash.c")
 _SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUFFIX
@@ -26,7 +26,7 @@ _SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]  # the interpreter's EXT_SUF
 
 def _build(path: Path) -> None:
     """Compile into a temporary file beside `path`, then rename it to `path`."""
-    import shlex, subprocess, sysconfig  # noqa: E401 -- only a cache miss compiles
+    import shlex, subprocess, sysconfig, tempfile  # noqa: E401 -- only a cache miss compiles
 
     cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
     if not cmd:
@@ -58,7 +58,9 @@ def _load():
     """The build of the current source, compiled if missing."""
     cache = _SRC.parent / "__pycache__"
     try:
-        key = hashlib.sha256(_SRC.read_bytes()).hexdigest()[:16]
+        sha256 = hashes.Hash(hashes.SHA256())
+        sha256.update(_SRC.read_bytes())
+        key = sha256.finalize().hex()[:16]
         path = cache / f"_chainhash.{key}{_SUFFIX}"
         if not path.exists():
             _build(path)

@@ -20,7 +20,6 @@ import os
 import sys
 import threading
 import time
-import traceback
 from pathlib import Path
 from typing import NoReturn
 
@@ -191,6 +190,8 @@ def _accept_loop(listener: transport.TcpListener, handle) -> NoReturn:
         try:
             handle(ep)
         except Exception as exc:
+            import traceback  # only a failed session prints one
+
             _eprint(f"attestation failed: failed ({exc!r})\n{traceback.format_exc().rstrip()}")
 
 

@@ -12,8 +12,8 @@ PMP-gated untrusted path.
 
 from __future__ import annotations
 
-import hmac
 import struct
+from _operator import _compare_digest  # what hmac.compare_digest falls back to
 from dataclasses import dataclass
 
 from ._native import EXT
@@ -91,6 +91,14 @@ def _read_attested(image: MemoryImage, config: AttestationConfig) -> memoryview:
     return memoryview(region.data).toreadonly()[off:off + length]
 
 
+def sha3_256(data: bytes) -> bytes:
+    """Plain SHA3-256 of non-empty `data` (ValueError if empty): a one-block chain.
+
+    lrav's only SHA3-256, so no process loads hashlib and a second OpenSSL.
+    """
+    return _chained_sha3_256(data, len(data))
+
+
 def measure(image: MemoryImage, config: AttestationConfig) -> Measurement:
     """Compute the chained digest of the configured range (trusted ROM path)."""
     data = _read_attested(image, config)
@@ -99,4 +107,4 @@ def measure(image: MemoryImage, config: AttestationConfig) -> Measurement:
 
 def measurement_equals(a: Measurement, b: Measurement) -> bool:
     """Constant-time equality over digest and config together."""
-    return hmac.compare_digest(a.pack(), b.pack())
+    return _compare_digest(a.pack(), b.pack())

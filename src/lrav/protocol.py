@@ -22,9 +22,8 @@ ephemeral, so those cost it no X25519 work either.
 from __future__ import annotations
 
 import enum
-import hashlib
-import secrets
 from dataclasses import dataclass, field
+from os import urandom
 from typing import Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -32,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 from . import secretbox
-from .crtm import measure
+from .crtm import measure, sha3_256
 from .device import DeviceState
 from .errors import (
     AuthenticationFailed,
@@ -227,13 +226,13 @@ def derive_session_key(shared_secret: bytes, n_a: bytes, n_b: bytes) -> bytes:
         raise ValueError("shared secret must be 32 bytes")
     if shared_secret == bytes(32):
         raise WeakPoint("all-zero shared secret")
-    return hashlib.sha3_256(_KDF_LABEL + shared_secret + n_a + n_b).digest()
+    return sha3_256(_KDF_LABEL + shared_secret + n_a + n_b)
 
 
 def ae_nonce(direction: Direction, n_a: bytes, n_b: bytes) -> bytes:
     """Deterministic 24-byte box nonce; unique per (session, direction)."""
     material = _AE_LABEL + bytes([direction]) + n_a + n_b
-    return hashlib.sha3_256(material).digest()[:secretbox.NONCE_BYTES]
+    return sha3_256(material)[:secretbox.NONCE_BYTES]
 
 
 def ae_seal(k: bytes, direction: Direction, n_a: bytes, n_b: bytes, plaintext: bytes) -> bytes:
@@ -257,9 +256,7 @@ def transcript_hash(
     for part in (n_first, n_second, q_first, q_second):
         if len(part) != 32:
             raise ValueError("nonces and points must be 32 bytes")
-    return hashlib.sha3_256(
-        quote_bytes + n_first + n_second + q_first + q_second
-    ).digest()
+    return sha3_256(quote_bytes + n_first + n_second + q_first + q_second)
 
 
 def is_small_order(point: bytes) -> bool:
@@ -339,7 +336,7 @@ def _open_flight(dev: DeviceState, st: SessionState, direction: Direction, box: 
 def initiate(dev: DeviceState, peer_id: str) -> tuple[SessionState, WireM1]:
     """A's first flight: fresh nonce and ephemeral point plus the AR flag."""
     st = SessionState(role=Role.INITIATOR, peer_id=dev.trust.resolve(peer_id))
-    st.my_nonce = secrets.token_bytes(NONCE_BYTES)
+    st.my_nonce = urandom(NONCE_BYTES)
     st.phase = Phase.SENT_M1
     return st, WireM1(st.my_nonce, st.my_point)
 
@@ -358,7 +355,7 @@ def respond_m1(
         raise ProtocolAbort(AbortReason.WEAK_POINT, "small-order X25519 point")
 
     st = SessionState(role=Role.RESPONDER, peer_id=peer_id)
-    st.my_nonce = secrets.token_bytes(NONCE_BYTES)
+    st.my_nonce = urandom(NONCE_BYTES)
     st.peer_nonce = m1.nonce
     _agree(st, m1.point)
     box = _seal_flight(dev, st, Direction.M2, produce_own_quote(dev))

@@ -14,11 +14,9 @@ verification material provisioned into trusted read-only storage.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import mmap
 import os
-import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -58,12 +56,12 @@ def gen_identity(seed_entropy: bytes | None = None) -> bytes:
     reproducible keypair and long inputs are condensed uniformly.
     """
     if seed_entropy is None:
-        seed_entropy = secrets.token_bytes(MIN_ENTROPY_BYTES)
+        seed_entropy = os.urandom(MIN_ENTROPY_BYTES)
     if len(seed_entropy) < MIN_ENTROPY_BYTES:
         raise InsufficientEntropy(
             f"need at least {MIN_ENTROPY_BYTES} bytes of entropy, got {len(seed_entropy)}"
         )
-    return hashlib.sha3_256(seed_entropy).digest()
+    return crtm.sha3_256(seed_entropy)
 
 
 def compute_expected(image: MemoryImage, config: crtm.AttestationConfig) -> crtm.Measurement:

@@ -16,13 +16,13 @@ unprovisioned peer (`UnknownPeer`), a device whose gate will not sign
 from __future__ import annotations
 
 import enum
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import transport
+from .crtm import sha3_256
 from .device import DeviceState
 from .errors import (
     ChannelClosed,
@@ -88,7 +88,7 @@ class SessionResult:
 
 def key_fingerprint(key: bytes) -> str:
     """Loggable 8-hex-char identifier for a session key; never the key itself."""
-    return hashlib.sha3_256(key).hexdigest()[:8]
+    return sha3_256(key).hex()[:8]
 
 
 class _PeerAbort(Exception):

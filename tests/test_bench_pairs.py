@@ -83,3 +83,13 @@ def test_higher_is_better_counts_a_rise_as_the_gain(bench_pairs):
 ])
 def test_verdicts(bench_pairs, parent, change, verdict):
     assert summary(bench_pairs, "handshake_ms.p50", parent, change)["verdict"] == verdict
+
+
+def test_a_tarfile_without_the_data_filter_is_named(bench_pairs, monkeypatch, tmp_path, capsys):
+    monkeypatch.delattr(bench_pairs.tarfile, "data_filter")
+    monkeypatch.setattr(bench_pairs, "extract", lambda commit: pytest.fail("extracted"))
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", "HEAD", "--pairs", "tcp-4m=1", "--seed", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 2
+    assert "needs tarfile's 'data' extraction filter" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,7 +1,6 @@
 import hashlib
 import random
 import threading
-import types
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
@@ -77,8 +76,7 @@ def test_small_order_table_matches_the_backend():
 
 def test_golden_wire_transcript(monkeypatch):
     draws = random.Random(0x601D)  # A draws before M1 is sent, B after it arrives
-    secrets = types.SimpleNamespace(token_bytes=draws.randbytes)
-    monkeypatch.setattr(lrav.protocol, "secrets", secrets)
+    monkeypatch.setattr(lrav.protocol, "urandom", draws.randbytes)
     monkeypatch.setattr(
         lrav.protocol.X25519PrivateKey, "generate",
         lambda: lrav.protocol.X25519PrivateKey.from_private_bytes(draws.randbytes(32)),

@@ -213,6 +213,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="the gain the change claims, checked by the gain rule")
     parser.add_argument("--note", action="append", default=[], help="a line for 'notes'")
     args = parser.parse_args(argv)
+    if not hasattr(tarfile, "data_filter"):  # extract() passes filter="data"
+        print("error: bench_pairs.py needs tarfile's 'data' extraction filter, which Python "
+              f"3.10.12, 3.11.4 and 3.12 added; this is Python {platform.python_version()}",
+              file=sys.stderr)
+        return 2
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = bench["end_to_end"]
