@@ -78,13 +78,8 @@ static const uint64_t RC[24] = {
         e[0] ^= (rc);                                                   \
     } while (0)
 
-#if LANES == 8
-#define EACH_LANE(M, i) M(0, i), M(1, i), M(2, i), M(3, i), M(4, i), M(5, i), M(6, i), M(7, i)
-#elif LANES == 4
 #define EACH_LANE(M, i) M(0, i), M(1, i), M(2, i), M(3, i)
-#else
-#error "LANES must be 4 or 8"
-#endif
+_Static_assert(LANES == 4, "EACH_LANE names one entry per lane");
 
 /* Straight-line code over the 25 words, so that the state stays in
  * registers rather than being copied through memory. */

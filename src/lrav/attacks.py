@@ -69,7 +69,6 @@ class Scenario:
     summary: str
     expected: Verdict
     run: Callable[[random.Random], Verdict]
-    adversary: Optional[Callable] = None  # inspected by the confinement test
 
 
 def run_scenario(scenario: Scenario, seed: int = 0) -> Verdict:
@@ -87,7 +86,7 @@ def _honest_pair(rng: random.Random) -> tuple[DeviceState, DeviceState]:
 
 
 def _initiator_verdict(dev_a: DeviceState, dev_b: DeviceState, **hooks) -> Verdict:
-    """A's verdict on one run of the pair (send hooks as for run_pair)."""
+    """A's verdict on one run of the pair (a_hook and b_hook as for run_pair)."""
     res_a, _ = run_pair(dev_a, dev_b, timeout=ATTACK_TIMEOUT, **hooks)
     if res_a.outcome is Outcome.ESTABLISHED:
         return Verdict(VerdictKind.ESTABLISHED)
@@ -119,6 +118,7 @@ def _open_session(dev_a: DeviceState, dev_b: DeviceState):
 # --- adversary actions ---------------------------------------------------------
 # Confinement rule: these touch devices only through mem_access / pmp.configure
 # in the untrusted context, transport hooks, and public protocol functions.
+# The confinement test inspects every module-level `_adv_*` function.
 
 def _adv_rewrite_qsk_pmp(dev: DeviceState) -> Verdict:
     """[A1] try to retarget the locked QSK PMP entry at the attacker's memory."""
@@ -225,18 +225,18 @@ def _scn_quote_overwrite(rng):
 
 
 def _scn_non_response(rng):
-    return _initiator_verdict(*_honest_pair(rng), b_hooks=[_adv_drop_all])
+    return _initiator_verdict(*_honest_pair(rng), b_hook=_adv_drop_all)
 
 
 def _scn_message_drop(rng):
-    return _initiator_verdict(*_honest_pair(rng), a_hooks=[_adv_drop_all])
+    return _initiator_verdict(*_honest_pair(rng), a_hook=_adv_drop_all)
 
 
 def _scn_ciphertext_bitflip(rng):
     # M2 payload: nonce(32) point(32) ar(1) box(196); flip inside the box,
     # past the frame header (10 bytes).
     box = slice(10 + 65, None)
-    return _initiator_verdict(*_honest_pair(rng), b_hooks=[_adv_bitflip(rng, box)])
+    return _initiator_verdict(*_honest_pair(rng), b_hook=_adv_bitflip(rng, box))
 
 
 def _scn_m2_replay(rng):
@@ -247,14 +247,14 @@ def _scn_m2_replay(rng):
         recorded.append(data)
         return (data,)
 
-    res_a, res_b = run_pair(dev_a, dev_b, b_hooks=[record_m2], timeout=ATTACK_TIMEOUT)
+    res_a, res_b = run_pair(dev_a, dev_b, b_hook=record_m2, timeout=ATTACK_TIMEOUT)
     if not (res_a.established and res_b.established and recorded):
         return Verdict(VerdictKind.AUDIT_FAIL)
 
     def replay_m2(data: bytes):  # substitute the stale flight for the fresh one
         return (recorded[0],)
 
-    return _initiator_verdict(dev_a, dev_b, b_hooks=[replay_m2])
+    return _initiator_verdict(dev_a, dev_b, b_hook=replay_m2)
 
 
 def _scn_m3_splice(rng):
@@ -281,8 +281,7 @@ def _scn_nonce_reuse_audit(rng):
         return (data,)
 
     for _ in range(6):
-        res_a, res_b = run_pair(dev_a, dev_b, a_hooks=[tap], b_hooks=[tap],
-                                timeout=ATTACK_TIMEOUT)
+        res_a, res_b = run_pair(dev_a, dev_b, a_hook=tap, b_hook=tap, timeout=ATTACK_TIMEOUT)
         if not (res_a.established and res_b.established):
             return Verdict(VerdictKind.AUDIT_FAIL)
     hellos = [
@@ -300,63 +299,62 @@ def catalog() -> list[Scenario]:
         Scenario(
             "pmp-lock-rewrite",
             "rewrite the locked QSK PMP entry from untrusted code",
-            Verdict(VerdictKind.LOCKED_ENTRY),
-            _on_device(_adv_rewrite_qsk_pmp), _adv_rewrite_qsk_pmp,
+            Verdict(VerdictKind.LOCKED_ENTRY), _on_device(_adv_rewrite_qsk_pmp),
         ),
         Scenario(
             "qsk-read-attempt",
             "read the signing-key window from untrusted code",
-            Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_read_qsk), _adv_read_qsk,
+            Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_read_qsk),
         ),
         Scenario(
             "rom-write-attempt",
             "overwrite the ROM-resident trust store",
-            Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_write_rom), _adv_write_rom,
+            Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_write_rom),
         ),
         Scenario(
             "firmware-tamper",
             "flip one attested flash bit on the responder, then attest",
-            aborted(AbortReason.MEASUREMENT_MISMATCH), _scn_firmware_tamper, _adv_tamper_firmware,
+            aborted(AbortReason.MEASUREMENT_MISMATCH), _scn_firmware_tamper,
         ),
         Scenario(
             "quote-overwrite",
             "zeroize the staged quote in untrusted memory before transmission",
-            aborted(AbortReason.MALFORMED), _scn_quote_overwrite, _adv_zeroize_staged_quote,
+            aborted(AbortReason.MALFORMED), _scn_quote_overwrite,
         ),
         Scenario(
             "non-response",
             "device responses never reach the network (removable-storage analogue)",
-            Verdict(VerdictKind.TIMEOUT), _scn_non_response, _adv_drop_all,
+            Verdict(VerdictKind.TIMEOUT), _scn_non_response,
         ),
         Scenario(
             "message-drop",
             "drop the initiator's first flight",
-            Verdict(VerdictKind.TIMEOUT), _scn_message_drop, _adv_drop_all,
+            Verdict(VerdictKind.TIMEOUT), _scn_message_drop,
         ),
         Scenario(
             "ciphertext-bitflip",
             "flip one ciphertext bit inside M2",
-            aborted(AbortReason.BAD_TAG), _scn_ciphertext_bitflip, None,
+            aborted(AbortReason.BAD_TAG), _scn_ciphertext_bitflip,
         ),
         Scenario(
             "m2-replay",
             "substitute a recorded M2 from an earlier session",
-            aborted(AbortReason.BAD_TAG), _scn_m2_replay, None,
+            aborted(AbortReason.BAD_TAG), _scn_m2_replay,
         ),
         Scenario(
             "m3-cross-session-splice",
             "re-encrypt an old M3 plaintext under the current session key",
-            aborted(AbortReason.BAD_SIGNATURE), _scn_m3_splice, _adv_splice_m3,
+            aborted(AbortReason.BAD_SIGNATURE), _scn_m3_splice,
         ),
         Scenario(
             "q-value-swap",
             "swap q_B in M2 for an attacker point with a re-encrypted payload",
-            aborted(AbortReason.BAD_SIGNATURE), _scn_q_swap, _adv_swap_point,
+            aborted(AbortReason.BAD_SIGNATURE), _scn_q_swap,
         ),
         Scenario(
             "nonce-reuse-audit",
             "honest devices never reuse nonces or ephemeral points",
-            Verdict(VerdictKind.AUDIT_OK), _scn_nonce_reuse_audit, None,
+            Verdict(VerdictKind.AUDIT_OK), _scn_nonce_reuse_audit,
         ),
     ]
 

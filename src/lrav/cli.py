@@ -294,12 +294,11 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _add_common(sub: argparse.ArgumentParser, *, profile=False, trust=False, addr=False):
-    if profile:
-        sub.add_argument("--profile", required=True, help="device profile path (JSON)")
-    if trust:
+def _add_common(sub: argparse.ArgumentParser, *, session=False):
+    """--profile; with `session`, also what a live session needs: --trust, --addr, --timeout."""
+    sub.add_argument("--profile", required=True, help="device profile path (JSON)")
+    if session:
         sub.add_argument("--trust", required=True, help="trust store path")
-    if addr:
         sub.add_argument("--addr", required=True, help="HOST:PORT")
         sub.add_argument("--timeout", type=_timeout, default=transport.DEFAULT_TIMEOUT,
                          help="receive deadline in seconds: for the initiator's M2, and for the "
@@ -329,13 +328,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_provision)
 
     p = sub.add_parser("measure", help="print the CRTM digest of the configured range")
-    _add_common(p, profile=True)
+    _add_common(p)
     p.add_argument("--trust", help="trust store path (optional; measurement needs no peers)")
     _add_range(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("serve", help="listen and run the responder per connection")
-    _add_common(p, profile=True, trust=True, addr=True)
+    _add_common(p, session=True)
     _add_range(p)
     p.add_argument("--peer", help="expected initiator id (default: sole provisioned peer)")
     p.add_argument("--once", action="store_true", help="handle one connection and exit")
@@ -344,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("attest", help="dial a responder and run the initiator")
-    _add_common(p, profile=True, trust=True, addr=True)
+    _add_common(p, session=True)
     _add_range(p)
     p.add_argument("--peer", help="target peer id (default: sole provisioned peer)")
     p.set_defaults(func=cmd_attest)

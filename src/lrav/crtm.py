@@ -82,13 +82,11 @@ def _read_attested(image: MemoryImage, config: AttestationConfig) -> memoryview:
     Large-copy allocations would otherwise dominate the timings the
     benchmarks assert.
     """
-    length = config.end_addr - config.start_addr
     try:
-        region = image.region_for(config.start_addr, length)
+        view = image.view(config.start_addr, config.end_addr - config.start_addr)
     except OutOfRange as exc:
         raise InvalidRange(str(exc)) from exc
-    off = config.start_addr - region.base
-    return memoryview(region.data).toreadonly()[off:off + length]
+    return view.toreadonly()
 
 
 def sha3_256(data: bytes) -> bytes:

@@ -79,7 +79,7 @@ def mem_access(
     if length is None or length <= 0:
         raise ValueError("access length must be positive")
 
-    dev.memory.region_for(addr, length)  # OutOfRange before any PMP verdict
+    view = dev.memory.view(addr, length)  # OutOfRange before any PMP verdict
     if not pmp.check(dev.bank, access, addr, length):
         raise AccessFault(next(
             start for start, config in pmp.pieces(dev.bank, addr, length)
@@ -88,7 +88,7 @@ def mem_access(
     if access is pmp.Access.WRITE:
         dev.memory.write(addr, data)  # AccessFault on ROM, whatever the PMP says
         return None
-    return dev.memory.read(addr, length)
+    return bytes(view)
 
 
 def rom_boot(dev: DeviceState) -> None:

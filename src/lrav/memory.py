@@ -27,9 +27,6 @@ class Region:
     def end(self) -> int:
         return self.base + len(self.data)
 
-    def contains(self, addr: int, length: int = 1) -> bool:
-        return self.base <= addr and addr + length <= self.end
-
 
 @dataclass
 class MemoryImage:
@@ -45,25 +42,25 @@ class MemoryImage:
                 raise ValueError(f"region at {region.base:#010x} overlaps the previous one")
             prev_end = region.end
 
-    def region_at(self, addr: int) -> Region:
+    def region_for(self, addr: int, length: int) -> Region:
+        """Region covering [addr, addr+length); OutOfRange if split or unmapped."""
         for region in self.regions:
-            if region.contains(addr):
+            if region.base <= addr < region.end:
+                if addr + length > region.end:
+                    raise OutOfRange(
+                        f"range [{addr:#010x}, {addr + length:#010x}) crosses a region boundary"
+                    )
                 return region
         raise OutOfRange(f"address {addr:#010x} is not mapped")
 
-    def region_for(self, addr: int, length: int) -> Region:
-        """Region covering [addr, addr+length); OutOfRange if split or unmapped."""
-        region = self.region_at(addr)
-        if not region.contains(addr, length):
-            raise OutOfRange(
-                f"range [{addr:#010x}, {addr + length:#010x}) crosses a region boundary"
-            )
-        return region
-
-    def read(self, addr: int, length: int) -> bytes:
+    def view(self, addr: int, length: int) -> memoryview:
+        """Writable view of [addr, addr+length) in its region's storage (no copy)."""
         region = self.region_for(addr, length)
         off = addr - region.base
-        return bytes(region.data[off:off + length])
+        return memoryview(region.data)[off:off + length]
+
+    def read(self, addr: int, length: int) -> bytes:
+        return bytes(self.view(addr, length))
 
     def write(self, addr: int, data: bytes) -> None:
         """Raw store used by construction-time and trusted code paths.
@@ -71,19 +68,15 @@ class MemoryImage:
         ROM is mask-programmed: even trusted code cannot store to it after
         construction (use load_rom for that).
         """
-        region = self.region_for(addr, len(data))
-        if region.kind is RegionKind.ROM:
+        if self.region_for(addr, len(data)).kind is RegionKind.ROM:
             raise AccessFault(addr, f"rom region is immutable ({addr:#010x})")
-        off = addr - region.base
-        region.data[off:off + len(data)] = data
+        self.view(addr, len(data))[:] = data
 
     def load_rom(self, addr: int, data: bytes) -> None:
         """Place mask-ROM contents; only valid while building a device."""
-        region = self.region_for(addr, len(data))
-        if region.kind is not RegionKind.ROM:
+        if self.region_for(addr, len(data)).kind is not RegionKind.ROM:
             raise ValueError(f"{addr:#010x} is not in a rom region")
-        off = addr - region.base
-        region.data[off:off + len(data)] = data
+        self.view(addr, len(data))[:] = data
 
     def zero_volatile(self) -> None:
         for region in self.regions:

@@ -79,7 +79,7 @@ def check_peer_id(peer_id: str) -> None:
     """
     try:
         size = len(peer_id.encode())
-    except UnicodeEncodeError:  # a lone surrogate, as undecodable argv bytes become
+    except (AttributeError, UnicodeEncodeError):  # a non-str, or a lone surrogate from argv
         size = 0
     if not 0 < size <= MAX_PEER_ID_BYTES or "#" in peer_id or any(c.isspace() for c in peer_id):
         raise ValueError(
@@ -253,8 +253,8 @@ def save_profile(path: str | Path, profile: DeviceProfile) -> None:
 
 
 def load_profile(path: str | Path) -> DeviceProfile:
-    doc = json.loads(Path(path).read_text())
     try:
+        doc = json.loads(Path(path).read_text())
         attest = crtm.AttestationConfig(
             int(doc["attest"]["start"], 0),
             int(doc["attest"]["end"], 0),
@@ -263,6 +263,9 @@ def load_profile(path: str | Path) -> DeviceProfile:
         for name, value in doc.get("memory", {}).items():
             if _MEMORY_MAP.get(name) != int(value, 0):
                 raise ValueError(f"memory {name}={value} is not the fixed memory map")
+        check_peer_id(doc["device_id"])
+        if not isinstance(doc.get("firmware"), (str, type(None))):
+            raise ValueError(f"firmware must be a path or null, got {doc['firmware']!r}")
         return DeviceProfile(
             device_id=doc["device_id"],
             qsk_seed=bytes.fromhex(doc["qsk_seed"]),
@@ -332,17 +335,15 @@ def build_device(
     return device_reset(dev)
 
 
-def provision_pair(
-    fw_a: bytes, fw_b: bytes, block: int = 1024
-) -> tuple[DeviceState, DeviceState]:
+def provision_pair(fw_a: bytes, fw_b: bytes) -> tuple[DeviceState, DeviceState]:
     """Devices "alpha" and "beta" with fixed identities, each trusting the other.
 
-    Each attests its own firmware image, mapped at the flash base. Used by
-    the adversary catalog and the test fixtures; perfbench provisions
-    through `lrav provision` instead.
+    Each attests its own firmware image, mapped at the flash base, in
+    1024-byte blocks. Used by the adversary catalog and the test fixtures;
+    perfbench provisions through `lrav provision` instead.
     """
     def attest(fw: bytes) -> crtm.AttestationConfig:
-        return crtm.AttestationConfig(FLASH_BASE, FLASH_BASE + len(fw), block)
+        return crtm.AttestationConfig(FLASH_BASE, FLASH_BASE + len(fw), 1024)
 
     def record(seed: bytes, fw: bytes) -> TrustedPeer:
         flash = MemoryImage([Region(FLASH_BASE, RegionKind.FLASH, bytearray(fw))])

@@ -85,9 +85,7 @@ def _gated_sign(dev: DeviceState, message: bytes, *, reuse_quote: bool = False) 
             raise GateViolation("QSK window is not locked execute-only")
         if reuse_quote and dev.last_quote is not None and dev.last_quote[0] == message:
             return dev.last_quote[1]
-        rom = dev.memory.region_for(dev.qsk_base, SEED_BYTES)
-        off = dev.qsk_base - rom.base
-        seed_buf = rom.data[off:off + SEED_BYTES]  # ROM is a bytearray: the one copy
+        seed_buf = bytearray(dev.memory.view(dev.qsk_base, SEED_BYTES))  # the one copy
         try:
             signature = Ed25519PrivateKey.from_private_bytes(seed_buf).sign(message)
         finally:

@@ -189,30 +189,39 @@ def run_pair(
     dev_a: DeviceState,
     dev_b: DeviceState,
     *,
-    a_hooks=(),
-    b_hooks=(),
+    a_hook: Optional[transport.FrameHook] = None,
+    b_hook: Optional[transport.FrameHook] = None,
     timeout: float = transport.DEFAULT_TIMEOUT,
 ) -> tuple[SessionResult, SessionResult]:
     """One handshake over an in-process channel: B on a worker thread, A inline.
 
-    Each hook becomes a send hook on that side's endpoint. Peer ids are the
+    Each hook becomes the send hook of that side's endpoint. Peer ids are the
     devices' own ids. Both ends close once both roles are done. Returns
-    (A's result, B's result).
+    (A's result, B's result). A caller error in either role is raised here,
+    as itself; that role's end closes first, so the other role ends at once.
     """
     ep_a, ep_b = transport.channel_pair()
-    for hook in a_hooks:
-        ep_a.add_send_hook(hook)
-    for hook in b_hooks:
-        ep_b.add_send_hook(hook)
-    res_b: list[SessionResult] = []
-    worker = threading.Thread(
-        target=lambda: res_b.append(run_responder(dev_b, ep_b, dev_a.device_id, timeout))
-    )
+    ep_a.send_hook, ep_b.send_hook = a_hook, b_hook
+    res_b: list[SessionResult | Exception] = []
+
+    def respond():
+        try:
+            res_b.append(run_responder(dev_b, ep_b, dev_a.device_id, timeout))
+        except Exception as exc:
+            res_b.append(exc)
+            ep_b.close()
+
+    worker = threading.Thread(target=respond)
     worker.start()
     try:
         res_a = run_initiator(dev_a, ep_a, dev_b.device_id, timeout)
+    except BaseException:
+        ep_a.close()
+        raise
     finally:
         worker.join()
         ep_a.close()
         ep_b.close()
+    if isinstance(res_b[0], Exception):
+        raise res_b[0]
     return res_a, res_b[0]

@@ -9,9 +9,9 @@ Frame layout (all integers big-endian):
     payload
 
 The in-process channel (`channel_pair`) is a `socket.socketpair()`, so it
-has the kernel's stream semantics, as TCP does. Any endpoint takes
-send-side hooks, so tests can drop, duplicate, reorder or mutate frames.
-Hooks are installed before a run starts, never mid-run.
+has the kernel's stream semantics, as TCP does. Any endpoint takes one
+send hook, so tests can drop, duplicate, reorder or mutate frames. The hook
+is set before a run starts, never mid-run.
 """
 
 from __future__ import annotations
@@ -91,22 +91,19 @@ def decode_frame(data: bytes) -> tuple[Frame, bytes]:
 class TcpEndpoint:
     """One side of a framed byte stream over a connected socket.
 
-    Send hooks see each encoded frame before it goes out and return the
-    frames to send in its place; with none installed a frame goes out as is.
+    `send_hook`, if set, sees each encoded frame before it goes out and
+    returns the frames to send in its place; unset, a frame goes out as is.
     """
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._rx = b""
-        self.send_hooks: list[FrameHook] = []
-
-    def add_send_hook(self, hook: FrameHook) -> None:
-        self.send_hooks.append(hook)
+        self.send_hook: FrameHook | None = None
 
     def send_frame(self, msg_type: int, payload: bytes) -> None:
-        frames = [encode_frame(msg_type, payload)]
-        for hook in self.send_hooks:
-            frames = [out for data in frames for out in hook(data)]
+        frames = (encode_frame(msg_type, payload),)
+        if self.send_hook is not None:
+            frames = self.send_hook(frames[0])
         try:
             for data in frames:
                 self._sock.sendall(data)

@@ -113,11 +113,9 @@ def serve_and_attest(
     return codes
 
 
-def make_pair(rng: random.Random, attested_bytes: int = 8 * 1024, block: int = 1024):
-    """Two mutually provisioned devices with seeded random firmware."""
-    fw_a = rng.randbytes(attested_bytes)
-    fw_b = rng.randbytes(attested_bytes)
-    return provision_pair(fw_a, fw_b, block)
+def make_pair(rng: random.Random):
+    """Two mutually provisioned devices with seeded random 8 KiB firmware."""
+    return provision_pair(rng.randbytes(8 * 1024), rng.randbytes(8 * 1024))
 
 
 @pytest.fixture

@@ -167,7 +167,7 @@ def test_c7_secrecy_hygiene(tmp_path, rng, capsys):
         frames.append(data)
         return (data,)
 
-    res_a, res_b = run_pair(dev_a, dev_b, a_hooks=[tap], b_hooks=[tap])
+    res_a, res_b = run_pair(dev_a, dev_b, a_hook=tap, b_hook=tap)
     assert res_a.established and res_b.established
 
     session_key = res_a.session_key

@@ -130,8 +130,8 @@ def zero_point_m1(data):
 def test_outcome_of_reads_what_perfbench_reads(tracing):
     # the name guard sees modules only; these are the result attributes perfbench reads
     honest = runner.run_pair(*make_pair(random.Random(1)))
-    res_a, res_b = runner.run_pair(*make_pair(random.Random(1)), a_hooks=[zero_point_m1])
-    silent, _ = runner.run_pair(*make_pair(random.Random(1)), b_hooks=[lambda data: ()],
+    res_a, res_b = runner.run_pair(*make_pair(random.Random(1)), a_hook=zero_point_m1)
+    silent, _ = runner.run_pair(*make_pair(random.Random(1)), b_hook=lambda data: (),
                                 timeout=0.3)
     cases = [
         (honest[0], "established", "established"),

@@ -120,6 +120,6 @@ class TestTrustAnchorInvariants:
 
     def test_qsk_window_inside_rom(self, device_pair):
         dev, _ = device_pair
-        region = dev.memory.region_at(dev.qsk_base)
+        region = dev.memory.region_for(dev.qsk_base, QSK_REGION_SIZE)
         assert region.kind is RegionKind.ROM
         assert QSK_BASE == dev.qsk_base

@@ -89,7 +89,7 @@ def test_golden_wire_transcript(monkeypatch):
         frames.append(data)
         return (data,)
 
-    res_a, res_b = run_pair(dev_a, dev_b, a_hooks=[tap], b_hooks=[tap])
+    res_a, res_b = run_pair(dev_a, dev_b, a_hook=tap, b_hook=tap)
     assert res_a.established and res_b.established
     assert [len(f) for f in frames] == [75, 271, 206]
     assert hashlib.sha256(b"".join(frames)).hexdigest() == GOLDEN_TRANSCRIPT

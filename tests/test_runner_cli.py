@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import json
 import os
 import re
 import signal
@@ -17,7 +18,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 import lrav
 from lrav import cli, transport
-from lrav.errors import ChannelClosed, ProtocolStateError, UnknownPeer
+from lrav.errors import ChannelClosed, GateViolation, ProtocolStateError, UnknownPeer
 from lrav.protocol import (
     AbortReason, Phase, WireM1, WireM2, process_m2, produce_own_quote, respond_m1,
 )
@@ -60,7 +61,7 @@ class TestRunner:
             sent_by_b.append(data)
             return (data, data)
 
-        res_a, res_b = run_pair(dev_a, dev_b, b_hooks=[duplicate])
+        res_a, res_b = run_pair(dev_a, dev_b, b_hook=duplicate)
         assert res_a.established and res_b.established
         stale, _ = transport.decode_frame(sent_by_b[0])  # a copy of the M2 A already took
         assert stale.msg_type == transport.MSG_M2
@@ -70,7 +71,7 @@ class TestRunner:
 
     def test_timeout_on_silent_responder(self, device_pair):
         dev_a, dev_b = device_pair
-        res_a, _ = run_pair(dev_a, dev_b, b_hooks=[lambda data: ()], timeout=0.5)
+        res_a, _ = run_pair(dev_a, dev_b, b_hook=lambda data: (), timeout=0.5)
         assert res_a.outcome is Outcome.TIMEOUT
 
     def test_stray_m1_mid_session_aborts_malformed(self, device_pair):
@@ -87,7 +88,7 @@ class TestRunner:
                 return (transport.encode_frame(transport.MSG_M1, stray.pack()),)
             return (data,)
 
-        res_a, _ = run_pair(dev_a, dev_b, b_hooks=[replace_m2_with_m1])
+        res_a, _ = run_pair(dev_a, dev_b, b_hook=replace_m2_with_m1)
         assert not res_a.established
         assert res_a.reason is AbortReason.MALFORMED
 
@@ -126,7 +127,7 @@ class TestMeasurementOrder:
             events.append(f"sent {transport.decode_frame(data)[0].msg_type:#04x}")
             return (data,)
 
-        res_a, res_b = run_pair(dev_a, dev_b, a_hooks=[sent])
+        res_a, res_b = run_pair(dev_a, dev_b, a_hook=sent)
         assert res_a.established and res_b.established
         assert events == ["sent 0x01", "measure", "process_m2", "sent 0x03"]
 
@@ -140,7 +141,7 @@ class TestMeasurementOrder:
                 return (data,)
             return (data[:-1] + bytes([data[-1] ^ 0x01]),)  # last box byte
 
-        res_a, _ = run_pair(dev_a, dev_b, b_hooks=[flip_m2_box])
+        res_a, _ = run_pair(dev_a, dev_b, b_hook=flip_m2_box)
         assert not res_a.established and res_a.reason is AbortReason.BAD_TAG
         assert events == ["measure"]
 
@@ -218,7 +219,7 @@ def short_m2(data):
 ], ids=["dropped", "bad-magic", "peer-error", "short-m2"])
 def test_every_early_end_leaves_no_session_secret(device_pair, hook, outcome, reason):
     # the initiator ends before it processes M2, while it still holds its X25519 scalar
-    res_a, res_b = run_pair(*device_pair, b_hooks=[hook], timeout=0.3)
+    res_a, res_b = run_pair(*device_pair, b_hook=hook, timeout=0.3)
     assert (res_a.outcome, res_a.reason) == (outcome, reason)
     assert not res_b.established
     for st in (res_a.state, res_b.state):
@@ -258,6 +259,17 @@ def test_unprovisioned_peer_is_a_caller_error_for_the_responder(device_pair):
     with pytest.raises(UnknownPeer, match="'nobody' is not provisioned"):
         run_responder(dev_b, ep, "nobody")
     assert ep.sent == []  # no courtesy frame: the peer did nothing wrong
+
+
+@pytest.mark.parametrize("side", ["initiator", "responder"])
+def test_run_pair_raises_a_roles_caller_error_at_once(device_pair, side):
+    # a device that has not booted will not sign: the caller's mistake, not the peer's
+    dev_a, dev_b = device_pair
+    (dev_a if side == "initiator" else dev_b).boot_complete = False
+    start = time.monotonic()
+    with pytest.raises(GateViolation):
+        run_pair(dev_a, dev_b)  # the default 5 s deadline
+    assert time.monotonic() - start < 1.0
 
 
 def test_responder_deadline_covers_the_whole_session(device_pair):
@@ -513,6 +525,15 @@ class TestCli:
             assert captured.out == "" and "--profile" in captured.err
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
             Path("fw.bin"), Path("work"), Path("work/no")]
+
+    @pytest.mark.parametrize("case", ["firmware", "device_id", "syntax"])
+    def test_malformed_profile_exits_2_naming_it(self, tmp_path, rng, capsys, case):
+        provision_cli_pair(tmp_path, rng, capsys)
+        path = tmp_path / "alpha.json"
+        text = path.read_text()
+        path.write_text("{" + text if case == "syntax" else json.dumps({**json.loads(text), case: 5}))
+        assert cli.main(["measure", "--profile", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad device profile {path}: ")
 
     def test_provision_missing_image_exits_2(self, tmp_path, capsys):
         assert cli.main([

@@ -111,14 +111,14 @@ class TestMemoryChannel:
 
     def test_drop_hook_times_out_receiver(self, pair):
         a, b = pair
-        a.add_send_hook(lambda data: ())
+        a.send_hook = lambda data: ()
         a.send_frame(MSG_M1, b"lost")
         with pytest.raises(TransportTimeout):
             b.recv_frame(timeout=0.05)
 
     def test_duplicate_hook_delivers_twice(self, pair):
         a, b = pair
-        a.add_send_hook(lambda data: (data, data))
+        a.send_hook = lambda data: (data, data)
         a.send_frame(MSG_M1, b"twice")
         assert b.recv_frame(timeout=0.5).payload == b"twice"
         assert b.recv_frame(timeout=0.5).payload == b"twice"
@@ -133,7 +133,7 @@ class TestMemoryChannel:
             return (data, held.pop())
 
         a, b = pair
-        a.add_send_hook(hold_then_swap)
+        a.send_hook = hold_then_swap
         a.send_frame(MSG_M1, b"first")
         a.send_frame(MSG_M2, b"second")
         assert b.recv_frame(timeout=0.5).payload == b"second"
@@ -146,7 +146,7 @@ class TestMemoryChannel:
             return (bytes(body),)
 
         a, b = pair
-        a.add_send_hook(flip)
+        a.send_hook = flip
         a.send_frame(MSG_M1, b"\x00")
         assert b.recv_frame(timeout=0.5).payload == b"\xff"
 
