@@ -255,10 +255,13 @@ def save_profile(path: str | Path, profile: DeviceProfile) -> None:
 def load_profile(path: str | Path) -> DeviceProfile:
     try:
         doc = json.loads(Path(path).read_text())
+        block = doc["attest"]["block"]
+        if type(block) is not int:  # int() would truncate a float and take true as 1
+            raise ValueError(f"attest block must be an integer, got {block!r}")
         attest = crtm.AttestationConfig(
             int(doc["attest"]["start"], 0),
             int(doc["attest"]["end"], 0),
-            int(doc["attest"]["block"]),
+            block,
         )
         for name, value in doc.get("memory", {}).items():
             if _MEMORY_MAP.get(name) != int(value, 0):

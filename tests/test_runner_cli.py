@@ -526,12 +526,17 @@ class TestCli:
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
             Path("fw.bin"), Path("work"), Path("work/no")]
 
-    @pytest.mark.parametrize("case", ["firmware", "device_id", "syntax"])
+    @pytest.mark.parametrize("case", ["firmware", "device_id", "block", "syntax"])
     def test_malformed_profile_exits_2_naming_it(self, tmp_path, rng, capsys, case):
         provision_cli_pair(tmp_path, rng, capsys)
         path = tmp_path / "alpha.json"
         text = path.read_text()
-        path.write_text("{" + text if case == "syntax" else json.dumps({**json.loads(text), case: 5}))
+        doc = json.loads(text)
+        if case == "block":
+            doc["attest"]["block"] = 1024.5
+        else:
+            doc[case] = 5
+        path.write_text("{" + text if case == "syntax" else json.dumps(doc))
         assert cli.main(["measure", "--profile", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad device profile {path}: ")
 
