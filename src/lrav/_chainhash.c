@@ -8,7 +8,7 @@
  * side by side, and only each block's last one or two permutations (its
  * "tail", which holds D_{j+1}) wait for the chain.
  *
- * hsalsa20 / xsalsa20_xor: the XSalsa20 stream of NaCl (Bernstein,
+ * xsalsa20_xor: the XSalsa20 stream of NaCl (Bernstein,
  * "Cryptography in NaCl"; "Salsa20 specification"). The 24-byte nonce's first
  * 16 bytes and the key give an HSalsa20 subkey; the last 8 bytes and a 64-bit
  * little-endian block counter from 0 then drive Salsa20/20 under that
@@ -405,25 +405,6 @@ check_len(const Py_buffer *buf, Py_ssize_t want, const char *what)
 }
 
 static PyObject *
-hsalsa20(PyObject *self, PyObject *args)
-{
-    Py_buffer key, in;
-    PyObject *result = NULL;
-
-    (void)self;
-    if (!PyArg_ParseTuple(args, "y*y*", &key, &in))
-        return NULL;
-    if (check_len(&key, 32, "key") && check_len(&in, 16, "input")) {
-        unsigned char out[32];
-        hsalsa20_core(out, key.buf, in.buf);
-        result = PyBytes_FromStringAndSize((const char *)out, 32);
-    }
-    PyBuffer_Release(&key);
-    PyBuffer_Release(&in);
-    return result;
-}
-
-static PyObject *
 xsalsa20_xor(PyObject *self, PyObject *args)
 {
     Py_buffer key, nonce, data;
@@ -447,8 +428,6 @@ xsalsa20_xor(PyObject *self, PyObject *args)
 static PyMethodDef methods[] = {
     {"chained_sha3_256", chained_sha3_256, METH_VARARGS,
      "chained_sha3_256(data, block) -> 32-byte chained digest"},
-    {"hsalsa20", hsalsa20, METH_VARARGS,
-     "hsalsa20(key, input16) -> 32-byte HSalsa20 subkey"},
     {"xsalsa20_xor", xsalsa20_xor, METH_VARARGS,
      "xsalsa20_xor(key, nonce, data) -> data XOR the XSalsa20 keystream"},
     {NULL, NULL, 0, NULL},

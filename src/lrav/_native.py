@@ -7,7 +7,8 @@ build of an older one. A temporary output renamed into place makes concurrent
 first imports safe; older builds are then deleted. lrav has no other
 implementation of these primitives: without a compiler, the Python headers or
 a writable ``__pycache__`` (a read-only install never imported by its owner),
-importing lrav raises ImportError naming the cache and the cause.
+importing this module (and so ``lrav.crtm``, ``lrav.secretbox`` and every module
+built on them) raises ImportError naming the cache and the cause.
 """
 
 from __future__ import annotations

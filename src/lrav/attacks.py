@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 from . import pmp, transport
-from .device import DeviceState, mem_access
+from .device import FLASH_BASE, QSK_BASE, ROM_BASE, STAGING_ADDR, DeviceState, mem_access
 from .errors import AccessFault, LockedEntry, ProtocolAbort
 from .protocol import (
     AbortReason,
@@ -35,7 +35,7 @@ from .protocol import (
     produce_own_quote,
     respond_m1,
 )
-from .provisioning import FLASH_BASE, ROM_BASE, provision_pair
+from .provisioning import provision_pair
 from .quote import QUOTE_WIRE_BYTES
 from .runner import Outcome, run_pair
 
@@ -124,12 +124,12 @@ def _adv_rewrite_qsk_pmp(dev: DeviceState) -> Verdict:
     """[A1] try to retarget the locked QSK PMP entry at the attacker's memory."""
     grabby = pmp.PmpConfig(read=True, write=True, execute=True,
                            addr_mode=pmp.AddrMode.NAPOT, lock=False)
-    return _verdict(pmp.configure, dev.bank, 0, grabby, pmp.napot_addr_reg(0x2000_0000, 64))
+    return _verdict(pmp.configure, dev.bank, 0, grabby, pmp.napot_addr_reg(FLASH_BASE, 64))
 
 
 def _adv_read_qsk(dev: DeviceState) -> Verdict:
     """[G2] read the signing-key window from untrusted machine mode."""
-    return _verdict(mem_access, dev, pmp.Access.READ, dev.qsk_base, length=32)
+    return _verdict(mem_access, dev, pmp.Access.READ, QSK_BASE, length=32)
 
 
 def _adv_write_rom(dev: DeviceState) -> Verdict:
@@ -146,7 +146,7 @@ def _adv_tamper_firmware(dev: DeviceState, rng: random.Random) -> None:
 
 def _adv_zeroize_staged_quote(dev: DeviceState) -> None:
     """[A3] overwrite the attestation agent's staged quote before transmission."""
-    mem_access(dev, pmp.Access.WRITE, dev.staging_addr, data=bytes(QUOTE_WIRE_BYTES))
+    mem_access(dev, pmp.Access.WRITE, STAGING_ADDR, data=bytes(QUOTE_WIRE_BYTES))
 
 
 def _adv_drop_all(data: bytes):

@@ -15,8 +15,8 @@ import time
 from dataclasses import dataclass
 
 from .crtm import AttestationConfig, measure
+from .device import FLASH_BASE
 from .memory import MemoryImage, Region, RegionKind
-from .provisioning import FLASH_BASE
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -70,22 +70,15 @@ def _human_size(n: int) -> str:
 
 
 def format_text(crtm: list[CrtmSample], iters: int) -> str:
-    lines = [f"CRTM measurement, mean seconds over {iters} iterations"]
-    blocks = sorted({s.block for s in crtm})
-    by_size: dict[int, dict[int, CrtmSample]] = {}
-    for s in crtm:
-        by_size.setdefault(s.size, {})[s.block] = s
-    header = "total".rjust(8) + "".join(f"b={_human_size(b)}".rjust(12) for b in blocks)
+    """One row per size, one column per block, from crtm_bench's size-major samples."""
+    width = len({s.block for s in crtm})  # crtm_bench samples every size at every block
+    rows = [crtm[i:i + width] for i in range(0, len(crtm), width)]
+    header = "total".rjust(8) + "".join(f"b={_human_size(s.block)}".rjust(12) for s in rows[0])
     header += "work-bytes".rjust(12)
-    lines.append(header)
-    for size in sorted(by_size):
-        row = _human_size(size).rjust(8)
-        for b in blocks:
-            sample = by_size[size].get(b)
-            row += (f"{sample.mean:.6f}" if sample else "-").rjust(12)
-        any_sample = next(iter(by_size[size].values()))
-        row += f"{any_sample.work_bytes}".rjust(12)
-        lines.append(row)
+    lines = [f"CRTM measurement, mean seconds over {iters} iterations", header]
+    for row in rows:
+        cells = "".join(f"{s.mean:.6f}".rjust(12) for s in row)
+        lines.append(_human_size(row[0].size).rjust(8) + cells + f"{row[0].work_bytes}".rjust(12))
     return "\n".join(lines)
 
 

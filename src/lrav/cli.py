@@ -25,11 +25,10 @@ from typing import NoReturn
 
 from . import transport
 from .crtm import AttestationConfig, measure
-from .device import DeviceState
+from .device import FLASH_BASE, DeviceState
 from .errors import LravError, TransportTimeout
 from .memory import MemoryImage
 from .provisioning import (
-    FLASH_BASE,
     DeviceProfile,
     TrustStore,
     build_device,
@@ -367,6 +366,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader is gone, as in `lrav bench | head -1`
+        # the interpreter flushes stdout on exit: let that flush write to nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ABORT
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         _eprint(f"cannot read input: {exc}")
         return EXIT_USAGE

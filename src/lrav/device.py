@@ -20,14 +20,24 @@ if TYPE_CHECKING:  # import cycle: quote/provisioning build on DeviceState
     from .provisioning import TrustStore
 
 
+# The one memory map of every device: ROM (trust store, then the QSK window
+# near its end), flash holding the firmware, and SRAM.
+ROM_BASE = 0x0000_1000
+ROM_SIZE = 16 * 1024
+FLASH_BASE = 0x2000_0000
+FLASH_SIZE = 4 * 1024 * 1024
+SRAM_BASE = 0x8000_0000
+SRAM_SIZE = 16 * 1024
+
 # QSK key material occupies one NAPOT-alignable 64-byte ROM window:
 # 32-byte signing seed followed by the 32-byte verification key.
+QSK_BASE = ROM_BASE + ROM_SIZE - 0x100
 QSK_REGION_SIZE = 64
 QSK_PMP_INDEX = 0  # highest-priority entry, claimed by boot ROM
 
 # Where the attestation agent stages an outgoing wire quote (plain SRAM,
 # deliberately writable by untrusted code).
-QUOTE_STAGING_OFFSET = 0x100
+STAGING_ADDR = SRAM_BASE + 0x100
 
 
 @dataclass
@@ -38,8 +48,6 @@ class DeviceState:
     bank: pmp.PmpBank
     trust: "TrustStore"
     attest_config: "AttestationConfig"
-    qsk_base: int
-    sram_base: int
     boot_complete: bool = False
     quote_staging_hook: Optional[Callable[["DeviceState"], None]] = None
     # (measurement pack, signature) of the last quote signed; no key material.
@@ -47,15 +55,8 @@ class DeviceState:
     last_quote: Optional[tuple[bytes, bytes]] = None
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
-    @property
-    def staging_addr(self) -> int:
-        return self.sram_base + QUOTE_STAGING_OFFSET
-
     def __repr__(self):  # never leak key material through debug output
-        return (
-            f"DeviceState(id={self.device_id!r}, boot_complete={self.boot_complete}, "
-            f"qsk_base={self.qsk_base:#010x})"
-        )
+        return f"DeviceState(id={self.device_id!r}, boot_complete={self.boot_complete})"
 
 
 def mem_access(
@@ -94,7 +95,7 @@ def mem_access(
 def rom_boot(dev: DeviceState) -> None:
     """Start-up ROM: claim the QSK window with a locked execute-only entry."""
     config = pmp.PmpConfig(execute=True, addr_mode=pmp.AddrMode.NAPOT, lock=True)
-    addr_reg = pmp.napot_addr_reg(dev.qsk_base, QSK_REGION_SIZE)
+    addr_reg = pmp.napot_addr_reg(QSK_BASE, QSK_REGION_SIZE)
     pmp.configure(dev.bank, QSK_PMP_INDEX, config, addr_reg)
     dev.boot_complete = True
 

@@ -23,6 +23,7 @@ from types import MappingProxyType
 from typing import BinaryIO, Iterable, Mapping
 
 from . import crtm
+from .device import FLASH_BASE, FLASH_SIZE, QSK_BASE, ROM_BASE, ROM_SIZE, SRAM_BASE, SRAM_SIZE
 from .device import DeviceState, device_reset
 from .errors import DuplicatePeer, InsufficientEntropy, InvalidRange, ParseError, UnknownPeer
 from .memory import MemoryImage, Region, RegionKind
@@ -32,15 +33,6 @@ from .quote import verification_key
 MIN_ENTROPY_BYTES = 32
 MAX_PEER_ID_BYTES = 64
 
-# The one memory map of every device: ROM (trust store, then the QSK window
-# near its end), flash holding the firmware, and SRAM.
-ROM_BASE = 0x0000_1000
-ROM_SIZE = 16 * 1024
-FLASH_BASE = 0x2000_0000
-FLASH_SIZE = 4 * 1024 * 1024
-SRAM_BASE = 0x8000_0000
-SRAM_SIZE = 16 * 1024
-QSK_BASE = ROM_BASE + ROM_SIZE - 0x100  # 64-byte aligned window near the end of ROM
 # the "memory" section earlier versions wrote into every profile
 _MEMORY_MAP = {
     "rom_base": ROM_BASE, "rom_size": ROM_SIZE, "flash_base": FLASH_BASE,
@@ -332,8 +324,6 @@ def build_device(
         bank=PmpBank(),
         trust=trust,
         attest_config=profile.attest,
-        qsk_base=QSK_BASE,
-        sram_base=SRAM_BASE,
     )
     return device_reset(dev)
 
@@ -349,7 +339,7 @@ def provision_pair(fw_a: bytes, fw_b: bytes) -> tuple[DeviceState, DeviceState]:
         return crtm.AttestationConfig(FLASH_BASE, FLASH_BASE + len(fw), 1024)
 
     def record(seed: bytes, fw: bytes) -> TrustedPeer:
-        flash = MemoryImage([Region(FLASH_BASE, RegionKind.FLASH, bytearray(fw))])
+        flash = MemoryImage([flash_region(fw)])
         return TrustedPeer(verification_key(seed), (compute_expected(flash, attest(fw)),))
 
     seed_a, seed_b = gen_identity(b"A" * 32), gen_identity(b"B" * 32)

@@ -17,7 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey,
 
 from . import device, pmp
 from .crtm import MEASUREMENT_BYTES, Measurement, measurement_equals
-from .device import QSK_REGION_SIZE, DeviceState
+from .device import QSK_BASE, QSK_REGION_SIZE, STAGING_ADDR, DeviceState
 from .errors import GateViolation, MalformedMessage
 
 SIGNATURE_BYTES = 64
@@ -53,11 +53,11 @@ class Quote:
         return cls(measurement, data[MEASUREMENT_BYTES:])
 
 
-def _gate_is_intact(dev: DeviceState) -> bool:
+def _gate_is_intact(bank: pmp.PmpBank) -> bool:
     """The key window must be execute-only for untrusted machine mode."""
     return all(
         config is not None and config.execute and not config.read and not config.write
-        for _, config in pmp.pieces(dev.bank, dev.qsk_base, QSK_REGION_SIZE)
+        for _, config in pmp.pieces(bank, QSK_BASE, QSK_REGION_SIZE)
     )
 
 
@@ -81,11 +81,11 @@ def _gated_sign(dev: DeviceState, message: bytes, *, reuse_quote: bool = False) 
     with dev.lock:
         if not dev.boot_complete:
             raise GateViolation("device has not completed boot")
-        if not _gate_is_intact(dev):
+        if not _gate_is_intact(dev.bank):
             raise GateViolation("QSK window is not locked execute-only")
         if reuse_quote and dev.last_quote is not None and dev.last_quote[0] == message:
             return dev.last_quote[1]
-        seed_buf = bytearray(dev.memory.view(dev.qsk_base, SEED_BYTES))  # the one copy
+        seed_buf = bytearray(dev.memory.view(QSK_BASE, SEED_BYTES))  # the one copy
         try:
             signature = Ed25519PrivateKey.from_private_bytes(seed_buf).sign(message)
         finally:
@@ -146,7 +146,7 @@ def stage_outgoing_quote(dev: DeviceState, wire: bytes) -> bytes:
     """
     if len(wire) != QUOTE_WIRE_BYTES:
         raise MalformedMessage(f"staged quote must be {QUOTE_WIRE_BYTES} bytes")
-    device.mem_access(dev, pmp.Access.WRITE, dev.staging_addr, data=wire)
+    device.mem_access(dev, pmp.Access.WRITE, STAGING_ADDR, data=wire)
     if dev.quote_staging_hook is not None:
         dev.quote_staging_hook(dev)
-    return device.mem_access(dev, pmp.Access.READ, dev.staging_addr, length=QUOTE_WIRE_BYTES)
+    return device.mem_access(dev, pmp.Access.READ, STAGING_ADDR, length=QUOTE_WIRE_BYTES)

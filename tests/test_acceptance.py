@@ -13,6 +13,7 @@ import pytest
 
 from lrav import attacks, bench, cli, pmp, transport
 from lrav.crtm import AttestationConfig, measure
+from lrav.device import QSK_BASE
 from lrav.errors import BadMagic, BadVersion, LockedEntry, Oversize, Truncated
 from lrav.pmp import Access, AddrMode, PmpBank, PmpConfig
 from lrav.provisioning import FLASH_BASE, load_profile
@@ -103,7 +104,7 @@ def test_c5_pmp_semantics_suite(device_pair):
     assert dev.bank.entries[0].config.lock  # ROM re-locked its own entry
 
     # X-only read denial at every key-window address
-    for addr in range(dev.qsk_base, dev.qsk_base + 64):
+    for addr in range(QSK_BASE, QSK_BASE + 64):
         assert not pmp.check(dev.bank, Access.READ, addr)
         assert pmp.check(dev.bank, Access.EXECUTE, addr)
 

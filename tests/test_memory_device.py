@@ -1,11 +1,10 @@
 import pytest
 
 from lrav import pmp
-from lrav.device import QSK_REGION_SIZE, device_reset, mem_access
+from lrav.device import QSK_BASE, QSK_REGION_SIZE, ROM_BASE, SRAM_BASE, device_reset, mem_access
 from lrav.errors import AccessFault, LockedEntry, OutOfRange
 from lrav.memory import MemoryImage, Region, RegionKind
 from lrav.pmp import Access
-from lrav.provisioning import QSK_BASE, ROM_BASE, SRAM_BASE
 
 
 class TestMemoryImage:
@@ -50,8 +49,8 @@ class TestMemAccess:
     def test_qsk_read_denied_after_boot(self, device_pair):
         dev, _ = device_pair
         with pytest.raises(AccessFault) as exc:
-            mem_access(dev, Access.READ, dev.qsk_base, length=1)
-        assert exc.value.addr == dev.qsk_base
+            mem_access(dev, Access.READ, QSK_BASE, length=1)
+        assert exc.value.addr == QSK_BASE
 
     def test_rom_write_denied(self, device_pair):
         dev, _ = device_pair
@@ -79,8 +78,8 @@ class TestReset:
         dev, _ = device_pair
         for _ in range(3):
             device_reset(dev)
-            assert not pmp.check(dev.bank, Access.READ, dev.qsk_base)
-            assert pmp.check(dev.bank, Access.EXECUTE, dev.qsk_base)
+            assert not pmp.check(dev.bank, Access.READ, QSK_BASE)
+            assert pmp.check(dev.bank, Access.EXECUTE, QSK_BASE)
 
     def test_sram_zeroed_flash_preserved(self, device_pair):
         dev, _ = device_pair
@@ -95,14 +94,14 @@ class TestReset:
         device_reset(dev)
         dev.bank.clear()  # a boot that skipped the lock step
         assert dev.boot_complete
-        assert pmp.check(dev.bank, Access.READ, dev.qsk_base)
+        assert pmp.check(dev.bank, Access.READ, QSK_BASE)
 
 
 class TestTrustAnchorInvariants:
     def test_qsk_secrecy_over_whole_window(self, device_pair):
         # G2: every byte of the key window faults on untrusted read and write
         dev, _ = device_pair
-        for addr in range(dev.qsk_base, dev.qsk_base + QSK_REGION_SIZE):
+        for addr in range(QSK_BASE, QSK_BASE + QSK_REGION_SIZE):
             with pytest.raises(AccessFault):
                 mem_access(dev, Access.READ, addr, length=1)
             with pytest.raises(AccessFault):
@@ -120,6 +119,5 @@ class TestTrustAnchorInvariants:
 
     def test_qsk_window_inside_rom(self, device_pair):
         dev, _ = device_pair
-        region = dev.memory.region_for(dev.qsk_base, QSK_REGION_SIZE)
+        region = dev.memory.region_for(QSK_BASE, QSK_REGION_SIZE)
         assert region.kind is RegionKind.ROM
-        assert QSK_BASE == dev.qsk_base

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from lrav import pmp
-from lrav.device import mem_access
+from lrav.device import QSK_BASE, mem_access
 from lrav.errors import AccessFault, LockedEntry, ReservedCombination
 from lrav.memory import MemoryImage, Region, RegionKind
 from lrav.pmp import PMP_ENTRIES, Access, AddrMode, PmpBank, PmpConfig
@@ -173,17 +173,18 @@ class TestRangeCheckEquivalence:
     """The range check, mem_access faults and the signing gate against the
     per-byte oracle, on random banks built through configure."""
 
-    WINDOW = 0x1000  # random entries cover byte addresses below this
+    LOW = QSK_BASE & ~0xFFF  # random entries cover the 4 KiB around the key window
+    WINDOW = 0x1000
 
-    def random_bank(self, rng, qsk_base):
+    def random_bank(self, rng):
         bank = PmpBank()
         if rng.random() < 0.4:  # a locked execute-only key window, as boot sets up
             xonly = PmpConfig(execute=True, addr_mode=AddrMode.NAPOT, lock=True)
-            pmp.configure(bank, rng.randrange(4), xonly, pmp.napot_addr_reg(qsk_base, 64))
+            pmp.configure(bank, rng.randrange(4), xonly, pmp.napot_addr_reg(QSK_BASE, 64))
         writes = []
         if rng.random() < 0.5:  # a TOR chain: each entry's base is the one below
             first = rng.randrange(PMP_ENTRIES - 1)
-            top = rng.randrange(self.WINDOW >> 3)
+            top = (self.LOW >> 2) + rng.randrange(self.WINDOW >> 2)
             for index in range(first, min(PMP_ENTRIES, first + rng.randrange(2, 5))):
                 writes.append((index, AddrMode.TOR, top))
                 top += rng.randrange(-4, 64)
@@ -193,9 +194,10 @@ class TestRangeCheckEquivalence:
         for index, mode, addr_reg in writes:
             if addr_reg is None and mode is AddrMode.NAPOT:
                 size = 8 << rng.randrange(7)
-                addr_reg = pmp.napot_addr_reg(rng.randrange(self.WINDOW // size) * size, size)
+                addr_reg = pmp.napot_addr_reg(self.LOW + rng.randrange(self.WINDOW // size) * size,
+                                              size)
             elif addr_reg is None:
-                addr_reg = rng.randrange(self.WINDOW >> 2)
+                addr_reg = (self.LOW >> 2) + rng.randrange(self.WINDOW >> 2)
             read = rng.random() < 0.6
             config = PmpConfig(read=read, write=read and rng.random() < 0.5,
                                execute=rng.random() < 0.5, addr_mode=mode,
@@ -208,21 +210,20 @@ class TestRangeCheckEquivalence:
 
     def test_range_check_matches_per_byte_oracle(self):
         rng = random.Random(0x1AA5)
-        memory = MemoryImage([Region(0, RegionKind.SRAM, bytearray(self.WINDOW + 0x200))])
+        memory = MemoryImage([Region(self.LOW, RegionKind.SRAM, bytearray(self.WINDOW + 0x200))])
         gate_verdicts = set()
         straddled = 0
         for _ in range(2000):
-            qsk_base = rng.randrange(self.WINDOW // 64) * 64
-            bank = self.random_bank(rng, qsk_base)
-            dev = SimpleNamespace(bank=bank, memory=memory, qsk_base=qsk_base)
+            bank = self.random_bank(rng)
+            dev = SimpleNamespace(bank=bank, memory=memory)
             bounds = sorted({b for i in range(PMP_ENTRIES) if (r := pmp.match_range(bank, i))
-                             for b in (r[0], r[1] + 1) if b < self.WINDOW})
+                             for b in (r[0], r[1] + 1) if self.LOW <= b < self.LOW + self.WINDOW})
             for access in Access:
                 length = rng.randrange(1, 301)
                 if bounds and rng.random() < 0.75:
-                    addr = max(0, rng.choice(bounds) - rng.randrange(length))
+                    addr = max(self.LOW, rng.choice(bounds) - rng.randrange(length))
                 else:
-                    addr = rng.randrange(self.WINDOW)
+                    addr = self.LOW + rng.randrange(self.WINDOW)
                 straddled += any(addr < b < addr + length for b in bounds)
                 denied = next((a for a in range(addr, addr + length)
                                if not per_byte_check(bank, access, a)), None)
@@ -238,9 +239,9 @@ class TestRangeCheckEquivalence:
                 per_byte_check(bank, Access.EXECUTE, a)
                 and not per_byte_check(bank, Access.READ, a)
                 and not per_byte_check(bank, Access.WRITE, a)
-                for a in range(qsk_base, qsk_base + 64)
+                for a in range(QSK_BASE, QSK_BASE + 64)
             )
-            assert _gate_is_intact(dev) == expected_gate
+            assert _gate_is_intact(bank) == expected_gate
             gate_verdicts.add(expected_gate)
         assert gate_verdicts == {True, False}
         assert straddled > 3000

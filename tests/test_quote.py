@@ -8,7 +8,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from lrav import pmp, quote
 from lrav.crtm import AttestationConfig, Measurement, measure
-from lrav.device import device_reset
+from lrav.device import QSK_BASE, STAGING_ADDR, device_reset
 from lrav.errors import GateViolation, MalformedMessage
 from lrav.quote import (
     QUOTE_WIRE_BYTES,
@@ -30,7 +30,7 @@ def own_measurement(dev) -> Measurement:
 
 
 def seed_of(dev) -> bytes:
-    return dev.memory.read(dev.qsk_base, SEED_BYTES)  # trusted path, test-only
+    return dev.memory.read(QSK_BASE, SEED_BYTES)  # trusted path, test-only
 
 
 def public_key(dev) -> bytes:
@@ -66,7 +66,7 @@ class TestSigningGate:
         # absent, unlocked, or not-X-only key windows must all refuse
         dev, _ = device_pair
         m = own_measurement(dev)
-        reg = pmp.napot_addr_reg(dev.qsk_base, 64)
+        reg = pmp.napot_addr_reg(QSK_BASE, 64)
 
         def boot_with(config):
             device_reset(dev)
@@ -279,7 +279,7 @@ class TestStaging:
 
         dev, _ = device_pair
         dev.quote_staging_hook = lambda d: mem_access(
-            d, pmp.Access.WRITE, d.staging_addr, data=bytes(QUOTE_WIRE_BYTES)
+            d, pmp.Access.WRITE, STAGING_ADDR, data=bytes(QUOTE_WIRE_BYTES)
         )
         wire = sign_quote_gated(dev, own_measurement(dev)).to_wire()
         assert stage_outgoing_quote(dev, wire) == bytes(QUOTE_WIRE_BYTES)

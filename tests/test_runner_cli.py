@@ -819,16 +819,45 @@ class TestCli:
         assert captured.err == "firmware image is empty\n"
         assert captured.out == "" and not profile.exists()
 
-    def test_serve_and_attest_load_neither_attacks_nor_bench(self):
+    @staticmethod
+    def modules_after(statement: str) -> list[str]:
+        """Names in sys.modules after `statement` runs in a fresh interpreter."""
         src = Path(lrav.__file__).resolve().parents[1]
-        loaded = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, lrav.cli; print(' '.join(sorted(sys.modules)))"],
+        return subprocess.run(
+            [sys.executable, "-c", f"import sys; {statement}; print(' '.join(sys.modules))"],
             capture_output=True, text=True, check=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=str(src)),
         ).stdout.split()
+
+    def test_serve_and_attest_load_neither_attacks_nor_bench(self):
+        loaded = self.modules_after("import lrav.cli")
         assert "lrav.cli" in loaded
         assert "lrav.attacks" not in loaded and "lrav.bench" not in loaded
+
+    def test_importing_the_package_loads_no_module_of_it(self):
+        loaded = self.modules_after("import lrav")
+        assert "lrav" in loaded
+        assert [name for name in loaded if name.startswith("lrav.")] == []
+
+    @pytest.mark.parametrize("command", [
+        ["bench", "--iters", "1"],
+        ["attack", "--only", "pmp-lock-rewrite"],
+        ["measure", "--profile", "alpha.json"],
+    ])
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path, rng, capsys, command):
+        provision_cli_pair(tmp_path, rng, capsys)
+        src = Path(lrav.__file__).resolve().parents[1]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "lrav", *command], cwd=tmp_path, stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(src)),
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (1, "")
 
     def test_bench_help_names_its_default(self, capsys):
         # compatibility pin: the default moved out of the bench module
@@ -847,6 +876,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.endswith(
             f"lrav bench: error: argument --iters: must be at least 1, got {value!r}\n")
+
+    def test_bench_csv_has_a_row_per_size_and_block(self, capsys):
+        assert cli.main(["bench", "--iters", "1", "--format", "csv"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "kind,size_bytes,block_bytes,mean_seconds,work_bytes"
+        sizes = [1024 << i for i in range(13)]  # 1 KiB .. 4 MiB
+        assert [tuple(row.split(",")[1:3]) for row in rows] == [
+            (str(size), str(block)) for size in sizes for block in (1024, 2048, 4096)]
+        for row in rows:
+            kind, size, _, mean, work = row.split(",")
+            assert kind == "crtm" and work == size
+            assert re.fullmatch(r"\d+\.\d{9}", mean) and float(mean) > 0
+
+    def test_bench_text_has_a_row_per_size(self, capsys):
+        assert cli.main(["bench", "--iters", "1"]) == 0
+        title, header, *rows = capsys.readouterr().out.splitlines()
+        assert title == "CRTM measurement, mean seconds over 1 iterations"
+        assert header == "   total       b=1KB       b=2KB       b=4KB  work-bytes"
+        names = [f"{1 << i}KB" for i in range(10)] + ["1MB", "2MB", "4MB"]
+        assert len(rows) == len(names)
+        for i, (row, name) in enumerate(zip(rows, names)):
+            assert len(row) == len(header)
+            assert re.fullmatch(rf" *{name}( +\d+\.\d{{6}}){{3}} +{1024 << i}", row), row
 
     def test_attack_subcommand_single_scenario(self, capsys):
         assert cli.main(["attack", "--only", "qsk-read-attempt"]) == 0
