@@ -46,7 +46,7 @@ def iterative_chain_digest(data: bytes, block: int) -> bytes:
 
 
 # XSalsa20 from "Cryptography in NaCl" and the Salsa20 specification, on
-# Python integers: the reference for the native hsalsa20 and xsalsa20_xor.
+# Python integers: the reference for the native xsalsa20_xor.
 _MASK = 0xFFFF_FFFF
 # "expand 32-byte k"
 _SIGMA = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
