@@ -130,11 +130,12 @@ store64le(unsigned char *p, uint64_t v)
 /* Lane l of the vector state holds the sponge of block blk[l]. A lane
  * absorbs its block's full rate chunks, then runs the tail: the remaining
  * bytes, D_{j+1} and the padding, one or two chunks built in tails[l]. Tails
- * run one at a time in chain order, and a lane whose chunks are done goes
- * straight on into its tail when D_{j+1} is ready; otherwise its state waits
- * in parked[l], out of the way of the permutations, until the chain gets
- * there. A lane that finishes its tail takes the next block. Everything lives
- * on this call's stack, so concurrent calls share nothing. */
+ * run one at a time in chain order, so D_{j+1} is ready at the step `due`
+ * that block j+1 was given when it was handed out. Blocks are handed out in
+ * chain order to free lanes, each only once its full chunks end no sooner
+ * than that: a lane then goes straight from its chunks into its tail and
+ * never waits inside a block, and a lane that finishes its tail is free.
+ * Everything lives on this call's stack, so concurrent calls share nothing. */
 KERNEL_CLONES static void
 chain_kernel(const unsigned char *buf, Py_ssize_t len, Py_ssize_t block,
              unsigned char digest[32])
@@ -144,13 +145,11 @@ chain_kernel(const unsigned char *buf, Py_ssize_t len, Py_ssize_t block,
     const Py_ssize_t rem = block % RATE, tail_chunks = (rem + 32) / RATE + 1;
     const Py_ssize_t last_len = len - (n - 1) * block;
     lanes_t st[25], lane_index, fresh = {0}; /* fresh: lanes to clear */
-    const unsigned char *in[LANES];
+    const unsigned char *in[LANES], *body_end[LANES]; /* end of the full chunks */
     unsigned char tails[LANES][2 * RATE + 32], pad[2 * RATE + 32], last[RATE];
-    uint64_t parked[LANES][25];
-    Py_ssize_t left[LANES], blk[LANES];
-    int lane_of[LANES], tail_lane = -1;
+    Py_ssize_t left[LANES], blk[LANES]; /* left: chunks to absorb, tail included */
     Py_ssize_t next = n - 1; /* the next block a lane takes */
-    Py_ssize_t ready = n;    /* chain holds D_ready; n: nothing yet */
+    Py_ssize_t step = 0, due = 0; /* the chain holds D_{next+1} from step due */
     uint64_t chain[4];
 
     /* Tails of all blocks but the last: rem bytes, D_{j+1}, then pad[]. */
@@ -159,8 +158,8 @@ chain_kernel(const unsigned char *buf, Py_ssize_t len, Py_ssize_t block,
     pad[tail_chunks * RATE - 1] |= 0x80;
     for (int l = 0; l < LANES; l++) {
         in[l] = idle_chunk;
+        body_end[l] = NULL;
         left[l] = 0;
-        blk[l] = -1;
         lane_index[l] = (uint64_t)l;
     }
     /* The last block has no chain value: its tail is one padded chunk. */
@@ -171,15 +170,20 @@ chain_kernel(const unsigned char *buf, Py_ssize_t len, Py_ssize_t block,
     last[RATE - 1] |= 0x80;
     memset(st, 0, sizeof st);
 
-    for (;;) {
-        /* Hand out blocks, in chain order, to lanes without one. */
+    for (;; step++) {
+        /* Hand out blocks, in chain order, to free lanes: a block goes once
+         * its full chunks, from this step on, end no sooner than step due. */
         for (int l = 0; l < LANES && next >= 0; l++) {
-            if (blk[l] >= 0)
+            Py_ssize_t body = next == n - 1 ? last_len / RATE : full;
+            if (left[l] > 0)
                 continue;
+            if (step + body < due)
+                break;
             blk[l] = next;
-            lane_of[next % LANES] = l;
             in[l] = buf + next * block;
-            left[l] = next == n - 1 ? last_len / RATE : full;
+            body_end[l] = in[l] + body * RATE;
+            left[l] = body + (next == n - 1 ? 1 : tail_chunks);
+            due = step + left[l];
             fresh |= (lanes_t)(lane_index == (uint64_t)l);
             if (next < n - 1) {
                 /* The tail but D_{j+1}, written long before it is read.
@@ -195,32 +199,20 @@ chain_kernel(const unsigned char *buf, Py_ssize_t len, Py_ssize_t block,
             if (next >= LANES) /* the block handed out LANES blocks later */
                 for (int k = 0; k < RATE + 64; k += 64)
                     __builtin_prefetch(buf + (next - LANES) * block + k);
-            if (left[l] == 0 && next != ready - 1) { /* nothing to absorb */
-                memset(parked[l], 0, sizeof parked[l]);
-                in[l] = idle_chunk;
-            }
             next--;
         }
-        /* Start the next tail if its block's chunks are done. */
-        if (tail_lane < 0) {
-            int l = lane_of[(ready - 1) % LANES];
-            if (left[l] == 0) {
-                Py_ssize_t j = blk[l];
-                if (in[l] == idle_chunk) /* it waited: bring its state back */
-                    for (int i = 0; i < 25; i++)
-                        st[i][l] = parked[l][i];
-                if (j == n - 1) {
+        /* A lane whose full chunks are done goes on into its tail. */
+        for (int l = 0; l < LANES; l++)
+            if (in[l] == body_end[l]) {
+                if (blk[l] == n - 1) {
                     in[l] = last;
-                    left[l] = 1;
                 } else {
                     for (int i = 0; i < 4; i++)
                         store64le(tails[l] + rem + 8 * i, chain[i]);
                     in[l] = tails[l];
-                    left[l] = tail_chunks;
                 }
-                tail_lane = l;
+                body_end[l] = NULL;
             }
-        }
 
         { /* one step: each lane absorbs the chunk at in[l], then permute */
             lanes_t a[25], e[25], keep = ~fresh;
@@ -244,27 +236,16 @@ chain_kernel(const unsigned char *buf, Py_ssize_t len, Py_ssize_t block,
                 /* a chunk ahead: the loads above wait on their misses */
                 for (int k = 0; k < RATE + 64; k += 64)
                     __builtin_prefetch(in[l] + RATE + k);
-            }
-        if (tail_lane >= 0 && left[tail_lane] == 0) {
-            int l = tail_lane; /* D_j: the first 32 bytes of the state */
-            for (int i = 0; i < 4; i++)
-                chain[i] = st[i][l];
-            ready = blk[l];
-            if (ready == 0) {
-                for (int i = 0; i < 4; i++)
-                    store64le(digest + 8 * i, chain[i]);
-                return;
-            }
-            tail_lane = -1;
-            blk[l] = -1;
-            in[l] = idle_chunk;
-        }
-        for (int l = 0; l < LANES; l++)
-            if (left[l] == 0 && in[l] != idle_chunk && blk[l] != ready - 1) {
-                /* Its chunks are done but D_{j+1} is not ready yet: park. */
-                for (int i = 0; i < 25; i++)
-                    parked[l][i] = st[i][l];
-                in[l] = idle_chunk;
+                if (left[l] == 0) { /* D_j: the first 32 bytes of the state */
+                    for (int i = 0; i < 4; i++)
+                        chain[i] = st[i][l];
+                    if (blk[l] == 0) {
+                        for (int i = 0; i < 4; i++)
+                            store64le(digest + 8 * i, chain[i]);
+                        return;
+                    }
+                    in[l] = idle_chunk;
+                }
             }
     }
 }

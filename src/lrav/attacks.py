@@ -66,7 +66,6 @@ class Verdict:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    summary: str
     expected: Verdict
     run: Callable[[random.Random], Verdict]
 
@@ -145,7 +144,7 @@ def _adv_tamper_firmware(dev: DeviceState, rng: random.Random) -> None:
 
 
 def _adv_zeroize_staged_quote(dev: DeviceState) -> None:
-    """[A3] overwrite the attestation agent's staged quote before transmission."""
+    """[A3] zeroize the agent's staged quote in untrusted memory before transmission."""
     mem_access(dev, pmp.Access.WRITE, STAGING_ADDR, data=bytes(QUOTE_WIRE_BYTES))
 
 
@@ -213,6 +212,7 @@ def _on_device(adversary: Callable[[DeviceState], Verdict]):
 
 
 def _scn_firmware_tamper(rng):
+    """Flip one attested flash bit on the responder, then attest."""
     dev_a, dev_b = _honest_pair(rng)
     _adv_tamper_firmware(dev_b, rng)
     return _initiator_verdict(dev_a, dev_b)
@@ -225,14 +225,17 @@ def _scn_quote_overwrite(rng):
 
 
 def _scn_non_response(rng):
+    """B's responses never reach the network (removable-storage analogue)."""
     return _initiator_verdict(*_honest_pair(rng), b_hook=_adv_drop_all)
 
 
 def _scn_message_drop(rng):
+    """Drop the initiator's first flight."""
     return _initiator_verdict(*_honest_pair(rng), a_hook=_adv_drop_all)
 
 
 def _scn_ciphertext_bitflip(rng):
+    """Flip one ciphertext bit inside M2."""
     # M2 payload: nonce(32) point(32) ar(1) box(196); flip inside the box,
     # past the frame header (10 bytes).
     box = slice(10 + 65, None)
@@ -240,6 +243,7 @@ def _scn_ciphertext_bitflip(rng):
 
 
 def _scn_m2_replay(rng):
+    """Substitute a recorded M2 from an earlier session."""
     dev_a, dev_b = _honest_pair(rng)
     recorded: list[bytes] = []
 
@@ -296,68 +300,19 @@ def catalog() -> list[Scenario]:
     """The built-in scenario set; every expected verdict is a detection."""
     aborted = lambda reason: Verdict(VerdictKind.ABORTED, reason)
     return [
-        Scenario(
-            "pmp-lock-rewrite",
-            "rewrite the locked QSK PMP entry from untrusted code",
-            Verdict(VerdictKind.LOCKED_ENTRY), _on_device(_adv_rewrite_qsk_pmp),
-        ),
-        Scenario(
-            "qsk-read-attempt",
-            "read the signing-key window from untrusted code",
-            Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_read_qsk),
-        ),
-        Scenario(
-            "rom-write-attempt",
-            "overwrite the ROM-resident trust store",
-            Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_write_rom),
-        ),
-        Scenario(
-            "firmware-tamper",
-            "flip one attested flash bit on the responder, then attest",
-            aborted(AbortReason.MEASUREMENT_MISMATCH), _scn_firmware_tamper,
-        ),
-        Scenario(
-            "quote-overwrite",
-            "zeroize the staged quote in untrusted memory before transmission",
-            aborted(AbortReason.MALFORMED), _scn_quote_overwrite,
-        ),
-        Scenario(
-            "non-response",
-            "device responses never reach the network (removable-storage analogue)",
-            Verdict(VerdictKind.TIMEOUT), _scn_non_response,
-        ),
-        Scenario(
-            "message-drop",
-            "drop the initiator's first flight",
-            Verdict(VerdictKind.TIMEOUT), _scn_message_drop,
-        ),
-        Scenario(
-            "ciphertext-bitflip",
-            "flip one ciphertext bit inside M2",
-            aborted(AbortReason.BAD_TAG), _scn_ciphertext_bitflip,
-        ),
-        Scenario(
-            "m2-replay",
-            "substitute a recorded M2 from an earlier session",
-            aborted(AbortReason.BAD_TAG), _scn_m2_replay,
-        ),
-        Scenario(
-            "m3-cross-session-splice",
-            "re-encrypt an old M3 plaintext under the current session key",
-            aborted(AbortReason.BAD_SIGNATURE), _scn_m3_splice,
-        ),
-        Scenario(
-            "q-value-swap",
-            "swap q_B in M2 for an attacker point with a re-encrypted payload",
-            aborted(AbortReason.BAD_SIGNATURE), _scn_q_swap,
-        ),
-        Scenario(
-            "nonce-reuse-audit",
-            "honest devices never reuse nonces or ephemeral points",
-            Verdict(VerdictKind.AUDIT_OK), _scn_nonce_reuse_audit,
-        ),
+        Scenario("pmp-lock-rewrite", Verdict(VerdictKind.LOCKED_ENTRY),
+                 _on_device(_adv_rewrite_qsk_pmp)),
+        Scenario("qsk-read-attempt", Verdict(VerdictKind.ACCESS_FAULT), _on_device(_adv_read_qsk)),
+        Scenario("rom-write-attempt", Verdict(VerdictKind.ACCESS_FAULT),
+                 _on_device(_adv_write_rom)),
+        Scenario("firmware-tamper", aborted(AbortReason.MEASUREMENT_MISMATCH),
+                 _scn_firmware_tamper),
+        Scenario("quote-overwrite", aborted(AbortReason.MALFORMED), _scn_quote_overwrite),
+        Scenario("non-response", Verdict(VerdictKind.TIMEOUT), _scn_non_response),
+        Scenario("message-drop", Verdict(VerdictKind.TIMEOUT), _scn_message_drop),
+        Scenario("ciphertext-bitflip", aborted(AbortReason.BAD_TAG), _scn_ciphertext_bitflip),
+        Scenario("m2-replay", aborted(AbortReason.BAD_TAG), _scn_m2_replay),
+        Scenario("m3-cross-session-splice", aborted(AbortReason.BAD_SIGNATURE), _scn_m3_splice),
+        Scenario("q-value-swap", aborted(AbortReason.BAD_SIGNATURE), _scn_q_swap),
+        Scenario("nonce-reuse-audit", Verdict(VerdictKind.AUDIT_OK), _scn_nonce_reuse_audit),
     ]
-
-
-def scenario_names() -> list[str]:
-    return [s.name for s in catalog()]

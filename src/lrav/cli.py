@@ -145,7 +145,11 @@ def cmd_provision(args) -> int:
     # before the secret seed reaches disk
     expected = compute_expected(MemoryImage([flash]), attest)
     profile_path = Path(args.profile or f"{args.id}.profile.json")
-    save_profile(profile_path, profile)
+    try:
+        save_profile(profile_path, profile)
+    except OSError as exc:  # main would report it as a read error
+        _eprint(f"cannot write profile {profile_path}: {exc.strerror or exc}")
+        return EXIT_USAGE
     _eprint(f"wrote device profile (contains the secret signing seed): {profile_path}")
     # The record below is public: paste it into the opposing device's store.
     print(format_trust_record(args.id, verification_key(seed), [expected]), end="", flush=True)
@@ -248,7 +252,8 @@ def cmd_attack(args) -> int:
     if args.only:
         scenarios = [s for s in scenarios if s.name == args.only]
         if not scenarios:
-            _eprint(f"unknown scenario {args.only!r}; known: {', '.join(attacks.scenario_names())}")
+            known = ", ".join(s.name for s in attacks.catalog())
+            _eprint(f"unknown scenario {args.only!r}; known: {known}")
             return EXIT_USAGE
     seed = int(args.seed, 16) if args.seed else 0
     rows = []

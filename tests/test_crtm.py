@@ -16,6 +16,10 @@ from oracles import iterative_chain_digest, recursive_chain_digest
 
 SIZES = [1, 31, 32, 33, 100, 1023, 1024, 1025, 2048, 4095, 4096, 4097, 8000, 8192]
 BLOCKS = [32, 1024, 4096]
+# The native kernel's grid (TestNativeKernel): block sizes around the rate and
+# around a second tail permutation, chains that reuse every lane.
+CHAIN_BLOCKS = [1, 31, 32, 33, 103, 104, 105, 135, 136, 137, 271, 272, 273, 1024, 4096]
+CHAIN_COUNTS = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 20]
 
 
 def digest_of(firmware: bytes, block: int) -> bytes:
@@ -182,8 +186,8 @@ class TestNativeKernel:
             assert iterative_chain_digest(message, len(message)).hex() == digest
 
     def test_chains_equal_the_python_chain(self, rng):
-        for block in [1, 31, 32, 33, 103, 104, 105, 135, 136, 137, 271, 272, 273, 1024, 4096]:
-            for count in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 20]:
+        for block in CHAIN_BLOCKS:
+            for count in CHAIN_COUNTS:
                 for last in {block, 1, block // 2 + 1}:
                     data = rng.randbytes((count - 1) * block + last)
                     assert native(data, block) == iterative_chain_digest(data, block), (block, count, last)

@@ -26,6 +26,7 @@ from lrav.crtm import AttestationConfig, measure
 from lrav.provisioning import FLASH_BASE
 
 from conftest import flash_image
+from test_crtm import CHAIN_BLOCKS, CHAIN_COUNTS
 
 PROBE = """
 import json
@@ -49,6 +50,27 @@ import json
 from lrav import _native
 
 print(json.dumps(_native.EXT.__file__))
+"""
+
+# Runs a build of the kernel, given by path, over TestNativeKernel's grid and
+# one XSalsa20 stream, against the oracles.
+SANITIZED_PROBE = """
+import importlib.util, json, random, sys
+from oracles import iterative_chain_digest, xsalsa20_oracle
+
+spec = importlib.util.spec_from_file_location("_chainhash", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+rng = random.Random(0)
+for block in json.loads(sys.argv[2]):
+    for count in json.loads(sys.argv[3]):
+        for last in {block, 1, block // 2 + 1}:
+            data = rng.randbytes((count - 1) * block + last)
+            got = kernel.chained_sha3_256(data, block)
+            assert got == iterative_chain_digest(data, block), (block, count, last)
+key, nonce, data = rng.randbytes(32), rng.randbytes(24), rng.randbytes(1000)
+assert kernel.xsalsa20_xor(key, nonce, data) == xsalsa20_oracle(key, nonce, data)
+print("clean")
 """
 
 # The compile step fails after writing part of its output file, as a compiler
@@ -117,14 +139,18 @@ def finish(proc: subprocess.Popen) -> dict:
     return json.loads(out)
 
 
-def compile_warning_free(source: Path, out: Path) -> None:
-    """Compile `source` into the extension module `out`, as an in-place build does."""
+def compiler() -> list[str]:
+    """The interpreter's command for linking an extension module."""
     cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
     if not cmd or shutil.which(cmd[0]) is None:
         pytest.skip("no C compiler configured for this interpreter")
-    cmd += shlex.split(sysconfig.get_config_var("CCSHARED") or "")
-    cmd += ["-O2", "-Wall", "-Wextra", "-Werror", "-I" + sysconfig.get_paths()["include"],
-            str(source), "-o", str(out)]
+    return cmd + shlex.split(sysconfig.get_config_var("CCSHARED") or "")
+
+
+def compile_warning_free(source: Path, out: Path, *flags: str) -> None:
+    """Compile `source` into the extension module `out`, as an in-place build does."""
+    cmd = compiler() + ["-O2", "-Wall", "-Wextra", "-Werror", *flags,
+                        "-I" + sysconfig.get_paths()["include"], str(source), "-o", str(out)]
     built = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert built.returncode == 0, built.stderr
 
@@ -176,6 +202,31 @@ def test_source_compiles_warning_free_without_libcrypto(tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.chained_sha3_256(b"abc", 3).hex().startswith("3a985da7")
+
+
+def test_kernel_is_clean_under_sanitizers(tmp_path):
+    # A read past the input or an undefined operation that leaves the digests
+    # right passes every other test; AddressSanitizer and UBSan stop on it.
+    runtimes = []
+    for name in ("libasan.so", "libubsan.so"):
+        found = subprocess.run(compiler()[:1] + [f"-print-file-name={name}"],
+                               capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(found):
+            pytest.skip(f"the compiler has no {name}")
+        runtimes.append(found)
+    out = tmp_path / f"_chainhash{sysconfig.get_config_var('EXT_SUFFIX')}"
+    compile_warning_free(_native._SRC, out, "-O1", "-fsanitize=address,undefined",
+                         "-fno-sanitize-recover=all")
+    tests = Path(__file__).resolve().parent
+    probe = subprocess.run(
+        [sys.executable, "-c", SANITIZED_PROBE, str(out), json.dumps(CHAIN_BLOCKS),
+         json.dumps(CHAIN_COUNTS)],
+        env=dict(os.environ, LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0",
+                 PYTHONMALLOC="malloc",  # red zones around small objects too
+                 PYTHONPATH=os.pathsep.join([str(tests), str(Path(lrav.__file__).parents[1])])),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert probe.returncode == 0 and probe.stdout == "clean\n", probe.stderr[-3000:]
 
 
 def test_stale_in_place_build_is_ignored(tmp_path):

@@ -526,6 +526,17 @@ class TestCli:
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
             Path("fw.bin"), Path("work"), Path("work/no")]
 
+    def test_provision_names_a_profile_it_cannot_write(self, tmp_path, capsys):
+        fw = tmp_path / "fw.bin"
+        fw.write_bytes(bytes(4096))
+        for profile, reason in [(tmp_path / "no" / "x.json", "No such file or directory"),
+                                (tmp_path, "Is a directory")]:
+            argv = ["provision", "--image", str(fw), "--id", "dev", "--profile", str(profile)]
+            assert cli.main(argv) == 2, profile
+            captured = capsys.readouterr()
+            assert captured.out == ""  # no trust record
+            assert captured.err == f"cannot write profile {profile}: {reason}\n"
+
     @pytest.mark.parametrize("case", ["firmware", "device_id", "block", "syntax"])
     def test_malformed_profile_exits_2_naming_it(self, tmp_path, rng, capsys, case):
         provision_cli_pair(tmp_path, rng, capsys)
