@@ -250,11 +250,12 @@ def cmd_attack(args) -> int:
 
     scenarios = attacks.catalog()
     if args.only:
-        scenarios = [s for s in scenarios if s.name == args.only]
-        if not scenarios:
-            known = ", ".join(s.name for s in attacks.catalog())
+        picked = [s for s in scenarios if s.name == args.only]
+        if not picked:
+            known = ", ".join(s.name for s in scenarios)
             _eprint(f"unknown scenario {args.only!r}; known: {known}")
             return EXIT_USAGE
+        scenarios = picked
     seed = int(args.seed, 16) if args.seed else 0
     rows = []
     all_pass = True

@@ -4,7 +4,8 @@ The build tests copy the package sources (no built module, no
 ``__pycache__``) into a temporary directory and import that copy in fresh
 interpreters, as a first import from a clean checkout does. One builds the
 package's installed layout with setuptools instead, so the installed copy
-must carry the C source itself.
+must carry the C source itself. The source itself must compile without
+warnings, and its kernel must run clean under AddressSanitizer and UBSan.
 """
 
 import hashlib
