@@ -182,7 +182,9 @@ def cmd_attest(args) -> int:
 def _accept_loop(listener: transport.TcpListener, handle) -> NoReturn:
     """One serve worker: accept and handle connections until the process exits.
 
-    A session that raises ends alone, so the pool keeps its size.
+    A session that raises ends alone, so the pool keeps its size. Once
+    stdout's reader is gone, serve exits 1 as `main` does; the other workers
+    wait in accept(), so the process is ended from here.
     """
     while True:
         try:
@@ -192,6 +194,8 @@ def _accept_loop(listener: transport.TcpListener, handle) -> NoReturn:
             continue
         try:
             handle(ep)
+        except BrokenPipeError:  # os._exit flushes nothing, so stdout is left as it is
+            os._exit(EXIT_ABORT)
         except Exception as exc:
             import traceback  # only a failed session prints one
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the abort reasons they carry."""
+
+import enum
 
 
 class LravError(Exception):
@@ -111,8 +113,18 @@ class ProtocolStateError(LravError):
     """Message fed to a session in the wrong phase; session state unchanged."""
 
 
+class AbortReason(enum.IntEnum):
+    """On-wire reason codes carried by courtesy error frames."""
+
+    BAD_TAG = 0x01
+    BAD_SIGNATURE = 0x02
+    MEASUREMENT_MISMATCH = 0x03
+    MALFORMED = 0x04
+    WEAK_POINT = 0x05
+
+
 class ProtocolAbort(LravError):
-    """Session aborted; carries the on-wire reason code (see protocol.AbortReason)."""
+    """Session aborted; carries the on-wire reason code (an AbortReason)."""
 
     def __init__(self, reason, message: str | None = None):
         self.reason = reason

@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 from os import urandom
 from typing import Optional
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 from . import secretbox
 from .crtm import measure, sha3_256
 from .device import DeviceState
 from .errors import (
+    AbortReason,
     AuthenticationFailed,
     MalformedMessage,
     ProtocolAbort,
@@ -44,9 +43,9 @@ from .quote import (
     QUOTE_WIRE_BYTES,
     SIGNATURE_BYTES,
     Quote,
-    QuoteVerdict,
     sign_quote_gated,
     sign_transcript_gated,
+    signature_valid,
     stage_outgoing_quote,
     verify_quote,
 )
@@ -72,16 +71,6 @@ _SMALL_ORDER = frozenset({
     0xB8495F16056286FDB1329CEB8D09DA6AC49FF1FAE35616AEB8413B7C7AEBE0,
     0x57119FD0DD4E22D8868E1C58C45C44045BEF839C55B1D0B1248C50A3BC959C5F,
 })
-
-
-class AbortReason(enum.IntEnum):
-    """On-wire reason codes carried by courtesy error frames."""
-
-    BAD_TAG = 0x01
-    BAD_SIGNATURE = 0x02
-    MEASUREMENT_MISMATCH = 0x03
-    MALFORMED = 0x04
-    WEAK_POINT = 0x05
 
 
 class Direction(enum.IntEnum):
@@ -311,24 +300,17 @@ def _open_flight(dev: DeviceState, st: SessionState, direction: Direction, box: 
     quote_bytes, sig = inner[:QUOTE_WIRE_BYTES], inner[QUOTE_WIRE_BYTES:]
     peer = dev.trust.get(st.peer_id)
     digest = transcript_hash(quote_bytes, n_a, n_b, st.peer_point, st.my_point)
-    try:
-        Ed25519PublicKey.from_public_bytes(peer.verify_key).verify(sig, digest)
-    except (InvalidSignature, ValueError):
+    if not signature_valid(peer.verify_key, digest, sig):
         _abort(st, AbortReason.BAD_SIGNATURE, "transcript signature rejected")
     try:
         peer_quote = Quote.from_wire(quote_bytes)
     except MalformedMessage as exc:
         _abort(st, AbortReason.MALFORMED, str(exc))
-    # Accept if the quote verifies against any provisioned expectation
-    # (multiple expected measurements model multiple authorised firmwares).
-    verdicts = [
-        verify_quote(peer.verify_key, peer_quote, expected)
-        for expected in peer.expected
-    ]
-    if QuoteVerdict.ACCEPT not in verdicts:
-        if verdicts[0] is QuoteVerdict.BAD_SIGNATURE:
-            _abort(st, AbortReason.BAD_SIGNATURE, "quote signature rejected")
-        _abort(st, AbortReason.MEASUREMENT_MISMATCH, f"{st.peer_id}: unexpected measurement")
+    reason = verify_quote(peer.verify_key, peer_quote, *peer.expected)
+    if reason is AbortReason.BAD_SIGNATURE:
+        _abort(st, reason, "quote signature rejected")
+    if reason is not None:
+        _abort(st, reason, f"{st.peer_id}: unexpected measurement")
 
 
 # --- protocol operations ----------------------------------------------------

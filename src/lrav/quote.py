@@ -1,4 +1,4 @@
-"""Quote signing behind the execute-only gate, and quote verification.
+"""Quote signing behind the execute-only gate, and lrav's one Ed25519 verifier.
 
 A quote binds the measured digest AND the attested range/block size under
 the device's Ed25519 signing key, so a prover cannot substitute a
@@ -8,7 +8,6 @@ followed by the 64-byte signature (116 bytes total).
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey,
 from . import device, pmp
 from .crtm import MEASUREMENT_BYTES, Measurement, measurement_equals
 from .device import QSK_BASE, QSK_REGION_SIZE, STAGING_ADDR, DeviceState
-from .errors import GateViolation, MalformedMessage
+from .errors import AbortReason, GateViolation, MalformedMessage
 
 SIGNATURE_BYTES = 64
 QUOTE_WIRE_BYTES = MEASUREMENT_BYTES + SIGNATURE_BYTES  # 116
@@ -107,17 +106,8 @@ def sign_transcript_gated(dev: DeviceState, digest: bytes) -> bytes:
     return _gated_sign(dev, digest)
 
 
-class QuoteVerdict(enum.Enum):
-    ACCEPT = "accept"
-    BAD_SIGNATURE = "bad-signature"
-    MEASUREMENT_MISMATCH = "measurement-mismatch"
-
-
-# Quote verification is a pure function of its three inputs, and an honest
-# peer presents the same quote every session. Only a peer whose transcript
-# signature verified reaches this memo, so unauthenticated input cannot fill it.
-@functools.lru_cache(maxsize=32)
-def _signature_valid(verify_key: bytes, message: bytes, signature: bytes) -> bool:
+def signature_valid(verify_key: bytes, message: bytes, signature: bytes) -> bool:
+    """Whether `signature` is `verify_key`'s Ed25519 signature of `message`."""
     try:
         Ed25519PublicKey.from_public_bytes(verify_key).verify(signature, message)
     except (InvalidSignature, ValueError):
@@ -125,16 +115,23 @@ def _signature_valid(verify_key: bytes, message: bytes, signature: bytes) -> boo
     return True
 
 
-def verify_quote(verify_key: bytes, quote: Quote, expected: Measurement) -> QuoteVerdict:
-    """Check signature then measurement against the provisioned expectation.
+# Quote verification is a pure function of its three inputs, and an honest
+# peer presents the same quote every session. Only a peer whose transcript
+# signature verified reaches this memo, so unauthenticated input cannot fill it.
+_signature_valid = functools.lru_cache(maxsize=32)(signature_valid)
 
-    Returns a verdict instead of raising; callers decide how to abort.
+
+def verify_quote(verify_key: bytes, quote: Quote, *expected: Measurement) -> AbortReason | None:
+    """None if the signature verifies and the measurement equals any of `expected`.
+
+    Otherwise the abort reason, BAD_SIGNATURE checked first. The signature is
+    checked once, however many expectations (authorised firmwares) there are.
     """
     if not _signature_valid(bytes(verify_key), quote.measurement.pack(), bytes(quote.signature)):
-        return QuoteVerdict.BAD_SIGNATURE
-    if not measurement_equals(quote.measurement, expected):
-        return QuoteVerdict.MEASUREMENT_MISMATCH
-    return QuoteVerdict.ACCEPT
+        return AbortReason.BAD_SIGNATURE
+    if not any(measurement_equals(quote.measurement, m) for m in expected):
+        return AbortReason.MEASUREMENT_MISMATCH
+    return None
 
 
 def stage_outgoing_quote(dev: DeviceState, wire: bytes) -> bytes:

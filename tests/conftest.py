@@ -146,6 +146,7 @@ def libsodium():
         "crypto_sign_ed25519_seed_keypair": [buf, buf, buf],  # pk, sk, seed
         # sig, siglen (may be NULL), message, length, sk
         "crypto_sign_ed25519_detached": [buf, ctypes.c_void_p, buf, size, buf],
+        "crypto_sign_ed25519_verify_detached": [buf, buf, size, buf],  # sig, message, length, pk
         "crypto_scalarmult_curve25519": [buf, buf, buf],  # q, n, p
         "crypto_scalarmult_curve25519_base": [buf, buf],  # q, n
     }

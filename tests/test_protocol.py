@@ -149,7 +149,7 @@ class TestHonestRun:
 
 class TestEd25519Count:
     """Ed25519 operations per handshake, both sides summed, counted at the
-    `cryptography` names that quote.py and protocol.py call."""
+    `cryptography` names that quote.py, lrav's only Ed25519 caller, calls."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -181,7 +181,6 @@ class TestEd25519Count:
 
         monkeypatch.setattr(quote, "Ed25519PrivateKey", Signer)
         monkeypatch.setattr(quote, "Ed25519PublicKey", Verifier)
-        monkeypatch.setattr(lrav.protocol, "Ed25519PublicKey", Verifier)
         quote._signature_valid.cache_clear()
         return counts
 
@@ -416,6 +415,15 @@ class TestProcessM2Aborts:
         with pytest.raises(ProtocolAbort) as exc:
             process_m2(dev_a, st_a2, WireM2(m2_2.nonce, m2_2.point, forged_box), produce_own_quote(dev_a))
         assert exc.value.reason is AbortReason.BAD_SIGNATURE
+
+    def test_no_expected_measurement_matching_is_measurement_mismatch(self, device_pair):
+        dev_a, dev_b = device_pair
+        peer = dev_a.trust.get("beta")
+        wrong = tuple(Measurement(bytes([i]) * 32, peer.expected[0].config) for i in (1, 2))
+        dev_a.trust = TrustStore({"beta": TrustedPeer(peer.verify_key, wrong)})
+        res_a, res_b = run_pair(dev_a, dev_b)
+        assert (res_a.reason, res_a.peer_reported) == (AbortReason.MEASUREMENT_MISMATCH, False)
+        assert (res_b.reason, res_b.peer_reported) == (AbortReason.MEASUREMENT_MISMATCH, True)
 
     def test_replayed_m2_black_box_is_bad_tag(self, device_pair):
         dev_a, dev_b = device_pair

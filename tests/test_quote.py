@@ -1,22 +1,24 @@
+import ast
 import ctypes
 import dataclasses
 import random
 import types
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from lrav import pmp, quote
-from lrav.crtm import AttestationConfig, Measurement, measure
+from lrav.crtm import MEASUREMENT_BYTES, AttestationConfig, Measurement, measure
 from lrav.device import QSK_BASE, STAGING_ADDR, device_reset
-from lrav.errors import GateViolation, MalformedMessage
+from lrav.errors import AbortReason, GateViolation, MalformedMessage
 from lrav.quote import (
     QUOTE_WIRE_BYTES,
     SEED_BYTES,
     Quote,
-    QuoteVerdict,
     sign_quote_gated,
     sign_transcript_gated,
+    signature_valid,
     stage_outgoing_quote,
     verification_key,
     verify_quote,
@@ -42,7 +44,7 @@ class TestSigningGate:
         dev, _ = device_pair
         m = own_measurement(dev)
         q = sign_quote_gated(dev, m)
-        assert verify_quote(public_key(dev), q, m) is QuoteVerdict.ACCEPT
+        assert verify_quote(public_key(dev), q, m) is None
 
     def test_deterministic_signatures(self, device_pair):
         dev, _ = device_pair
@@ -85,7 +87,7 @@ class TestSigningGate:
             with pytest.raises(GateViolation):
                 sign_quote_gated(dev, m)
         device_reset(dev)
-        assert verify_quote(public_key(dev), sign_quote_gated(dev, m), m) is QuoteVerdict.ACCEPT
+        assert verify_quote(public_key(dev), sign_quote_gated(dev, m), m) is None
 
     def test_gate_wipes_local_seed_buffer(self, device_pair, monkeypatch):
         dev, _ = device_pair
@@ -192,7 +194,7 @@ class TestVerifyQuote:
         m = own_measurement(dev)
         q = sign_quote_gated(dev, m)
         wrong = Measurement(m.digest[:-1] + bytes([m.digest[-1] ^ 1]), m.config)
-        assert verify_quote(public_key(dev), q, wrong) is QuoteVerdict.MEASUREMENT_MISMATCH
+        assert verify_quote(public_key(dev), q, wrong) is AbortReason.MEASUREMENT_MISMATCH
 
     def test_bad_signature(self, device_pair):
         dev, _ = device_pair
@@ -201,15 +203,15 @@ class TestVerifyQuote:
         flipped = bytearray(q.signature)
         flipped[10] ^= 0x04
         tampered = Quote(m, bytes(flipped))
-        assert verify_quote(public_key(dev), tampered, m) is QuoteVerdict.BAD_SIGNATURE
+        assert verify_quote(public_key(dev), tampered, m) is AbortReason.BAD_SIGNATURE
 
     def test_never_throws_on_junk_key(self, device_pair):
         dev, _ = device_pair
         m = own_measurement(dev)
         q = sign_quote_gated(dev, m)
         assert verify_quote(b"\x00" * 32, q, m) in (
-            QuoteVerdict.BAD_SIGNATURE,
-            QuoteVerdict.MEASUREMENT_MISMATCH,
+            AbortReason.BAD_SIGNATURE,
+            AbortReason.MEASUREMENT_MISMATCH,
         )
 
     def test_soundness_on_random_instances(self):
@@ -226,7 +228,52 @@ class TestVerifyQuote:
             sig = Ed25519PrivateKey.from_private_bytes(seed_signer).sign(quoted.pack())
             verdict = verify_quote(key, Quote(quoted, sig), expected)
             should_accept = right_key and quoted.digest == expected.digest
-            assert (verdict is QuoteVerdict.ACCEPT) == should_accept
+            assert (verdict is None) == should_accept
+
+
+
+def bit_flips(data: bytes):
+    """`data` with one bit flipped, for every bit in turn."""
+    for i in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[i // 8] ^= 1 << (i % 8)
+        yield bytes(flipped)
+
+
+class TestSignatureValid:
+    def test_agrees_with_libsodium(self, rng):
+        # honest signatures, and every single-bit flip of signature, message and key
+        lib = libsodium()
+        if lib is None:
+            pytest.skip("libsodium.so.23 not available")
+        for size in (32, MEASUREMENT_BYTES):  # a transcript digest, a measurement pack
+            seed, message = rng.randbytes(32), rng.randbytes(size)
+            key = verification_key(seed)
+            sig = Ed25519PrivateKey.from_private_bytes(seed).sign(message)
+            cases = [(key, message, sig)]
+            cases += [(key, message, flipped) for flipped in bit_flips(sig)]
+            cases += [(key, flipped, sig) for flipped in bit_flips(message)]
+            cases += [(flipped, message, sig) for flipped in bit_flips(key)]
+            for k, m, s in cases:
+                theirs = lib.crypto_sign_ed25519_verify_detached(s, m, len(m), k) == 0
+                assert signature_valid(k, m, s) == theirs, (k.hex(), m.hex(), s.hex())
+            assert signature_valid(key, message, sig)
+
+    def test_only_quote_imports_ed25519(self):
+        # lrav signs and verifies Ed25519 in quote.py alone
+        ed25519 = "cryptography.hazmat.primitives.asymmetric.ed25519"
+        importers = set()
+        for path in Path(quote.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):  # also `from ...asymmetric import ed25519`
+                    names = {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+                else:
+                    continue
+                if ed25519 in names:
+                    importers.add(path.name)
+        assert importers == {"quote.py"}
 
 
 class TestVerifyMemo:
@@ -235,15 +282,15 @@ class TestVerifyMemo:
         quote._signature_valid.cache_clear()
         m = own_measurement(dev)
         q = sign_quote_gated(dev, m)
-        assert verify_quote(public_key(dev), q, m) is QuoteVerdict.ACCEPT
+        assert verify_quote(public_key(dev), q, m) is None
         flipped = bytearray(q.signature)
         flipped[0] ^= 0x01
         assert verify_quote(public_key(dev), Quote(m, bytes(flipped)), m) \
-            is QuoteVerdict.BAD_SIGNATURE
+            is AbortReason.BAD_SIGNATURE
         wrong = Measurement(bytes(32), m.config)
-        assert verify_quote(public_key(dev), q, wrong) is QuoteVerdict.MEASUREMENT_MISMATCH
-        assert verify_quote(public_key(other), q, m) is QuoteVerdict.BAD_SIGNATURE
-        assert verify_quote(public_key(dev), q, m) is QuoteVerdict.ACCEPT
+        assert verify_quote(public_key(dev), q, wrong) is AbortReason.MEASUREMENT_MISMATCH
+        assert verify_quote(public_key(other), q, m) is AbortReason.BAD_SIGNATURE
+        assert verify_quote(public_key(dev), q, m) is None
 
     def test_accepts_bytes_like_arguments(self, device_pair):
         dev, _ = device_pair
@@ -251,7 +298,7 @@ class TestVerifyMemo:
         sig = sign_quote_gated(dev, m).signature
         for kind in (bytearray, memoryview):
             q = Quote(m, kind(bytearray(sig)))
-            assert verify_quote(kind(bytearray(public_key(dev))), q, m) is QuoteVerdict.ACCEPT
+            assert verify_quote(kind(bytearray(public_key(dev))), q, m) is None
 
 
 class TestWireForm:

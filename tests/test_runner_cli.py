@@ -411,6 +411,21 @@ class TestServePool:
         assert code == 0 and "established device=beta" in out
         assert serve.returncode == 0 and err == ""
 
+    @pytest.mark.parametrize("flags", [(), ("--parallel",)], ids=["serial", "parallel"])
+    def test_closed_stdout_exits_1_with_nothing_on_stderr(self, tmp_path, rng, capsys, flags):
+        provision_cli_pair(tmp_path, rng, capsys)
+        serve, port = spawn_serve(tmp_path, *flags, "--timeout", "5.0")
+        try:
+            serve.stdout.close()  # the reader is gone, as in `lrav serve ... | head -1`
+            code = attest(tmp_path, port)
+            _, err = serve.communicate(timeout=5)
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.communicate(timeout=10)
+        assert code == 0
+        assert (serve.returncode, err) == (1, "")
+
     def test_slow_peers_delay_an_honest_session_by_one_deadline_at_most(
             self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
