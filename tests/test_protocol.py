@@ -149,7 +149,7 @@ class TestHonestRun:
 
 class TestEd25519Count:
     """Ed25519 operations per handshake, both sides summed, counted at the
-    `cryptography` names that quote.py, lrav's only Ed25519 caller, calls."""
+    `cryptography` names that quote.py, lrav's only Ed25519 code, calls."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
