@@ -1,7 +1,7 @@
 """Executable adversary scenarios with expected detection verdicts.
 
 Each scenario builds an honest world, applies one scripted adversary action
-(memory writes, PMP writes, frame drops/replays/mutations, message forgery),
+(memory writes, PMP writes, a delivery plan for the wire, message forgery),
 and reports the observed verdict. Adversary actions go through the untrusted
 device surface (mem_access, pmp.configure), transport hooks, and public
 protocol functions only; splice/forgery scenarios additionally grant the
@@ -84,13 +84,17 @@ def _honest_pair(rng: random.Random) -> tuple[DeviceState, DeviceState]:
     return provision_pair(rng.randbytes(_ATTESTED_BYTES), rng.randbytes(_ATTESTED_BYTES))
 
 
-def _initiator_verdict(dev_a: DeviceState, dev_b: DeviceState, **hooks) -> Verdict:
-    """A's verdict on one run of the pair (a_hook and b_hook as for run_pair)."""
-    res_a, _ = run_pair(dev_a, dev_b, timeout=ATTACK_TIMEOUT, **hooks)
-    if res_a.outcome is Outcome.ESTABLISHED:
-        return Verdict(VerdictKind.ESTABLISHED)
-    if res_a.outcome is Outcome.TIMEOUT:
-        return Verdict(VerdictKind.TIMEOUT)
+def _run_plan(dev_a: DeviceState, dev_b: DeviceState, log: dict, rng=None, **plan):
+    """One run of the pair under a delivery plan (see _adv_plan): (A's, B's result)."""
+    hook = _adv_plan(log, rng, plan)
+    return run_pair(dev_a, dev_b, a_hook=hook, b_hook=hook, timeout=ATTACK_TIMEOUT)
+
+
+def _initiator_verdict(dev_a: DeviceState, dev_b: DeviceState, log: dict, rng=None, **plan) -> Verdict:
+    """A's verdict on one run of the pair under `plan`."""
+    res_a, _ = _run_plan(dev_a, dev_b, log, rng, **plan)
+    if res_a.outcome in (Outcome.ESTABLISHED, Outcome.TIMEOUT):
+        return Verdict(VerdictKind(res_a.outcome.value))
     return Verdict(VerdictKind.ABORTED, res_a.reason)
 
 
@@ -148,20 +152,45 @@ def _adv_zeroize_staged_quote(dev: DeviceState) -> None:
     mem_access(dev, pmp.Access.WRITE, STAGING_ADDR, data=bytes(QUOTE_WIRE_BYTES))
 
 
-def _adv_drop_all(data: bytes):
-    """[A2] the device's responses never reach the network."""
+# --- delivery plans --------------------------------------------------------------
+# A plan maps receive slots (B's M1, A's M2, B's M3: "m1", "m2", "m3") to
+# actions; it delivers any other slot. An action takes the live frame, that
+# slot's frames from earlier runs and the rng, and returns what is sent instead.
+
+_SLOTS = {transport.MSG_M1: "m1", transport.MSG_M2: "m2", transport.MSG_M3: "m3"}
+
+
+def _adv_drop(frame: bytes, earlier: list[bytes], rng) -> tuple[bytes, ...]:
     return ()
 
 
-def _adv_bitflip(rng: random.Random, region: slice):
-    """Flip one bit inside a chosen byte range of the next matching frame."""
+def _adv_replay(frame: bytes, earlier: list[bytes], rng) -> tuple[bytes, ...]:
+    return (earlier[0],)  # what the slot carried in the pair's first recorded run
 
-    def hook(data: bytes):
-        body = bytearray(data)
-        indices = range(*region.indices(len(body)))
-        pos = indices[rng.randrange(len(indices))]
-        body[pos] ^= 1 << rng.randrange(8)
+
+def _adv_flip(start: int, stop: Optional[int] = None):
+    """The action that flips one random bit among payload bits [start, stop)."""
+
+    def flip(frame: bytes, earlier: list[bytes], rng) -> tuple[bytes, ...]:
+        body = bytearray(frame)
+        bit = rng.randrange(start, stop or 8 * (len(body) - transport.HEADER_BYTES))
+        body[transport.HEADER_BYTES + bit // 8] ^= 1 << bit % 8
         return (bytes(body),)
+
+    return flip
+
+
+def _adv_plan(log: dict[str, list[bytes]], rng, plan: dict) -> transport.FrameHook:
+    """The send hook, for both sides of run_pair, that applies `plan` and logs each slot."""
+
+    def hook(frame: bytes):
+        slot = _SLOTS.get(frame[5])  # the type byte, after magic and version
+        if slot is None:  # an error frame always passes
+            return (frame,)
+        earlier = log.setdefault(slot, [])
+        sent = plan[slot](frame, earlier, rng) if slot in plan else (frame,)
+        earlier.append(frame)  # after the action, so a replay sees only earlier runs
+        return sent
 
     return hook
 
@@ -215,50 +244,26 @@ def _scn_firmware_tamper(rng):
     """Flip one attested flash bit on the responder, then attest."""
     dev_a, dev_b = _honest_pair(rng)
     _adv_tamper_firmware(dev_b, rng)
-    return _initiator_verdict(dev_a, dev_b)
+    return _initiator_verdict(dev_a, dev_b, {})
 
 
 def _scn_quote_overwrite(rng):
     dev_a, dev_b = _honest_pair(rng)
     dev_b.quote_staging_hook = _adv_zeroize_staged_quote
-    return _initiator_verdict(dev_a, dev_b)
+    return _initiator_verdict(dev_a, dev_b, {})
 
 
-def _scn_non_response(rng):
-    """B's responses never reach the network (removable-storage analogue)."""
-    return _initiator_verdict(*_honest_pair(rng), b_hook=_adv_drop_all)
+def _planned(**plan):
+    """Scenario runner: A's verdict under `plan`, after one recorded honest run."""
 
+    def run(rng):
+        dev_a, dev_b = _honest_pair(rng)
+        log: dict[str, list[bytes]] = {}
+        if not all(res.established for res in _run_plan(dev_a, dev_b, log)):
+            return Verdict(VerdictKind.AUDIT_FAIL)
+        return _initiator_verdict(dev_a, dev_b, log, rng, **plan)
 
-def _scn_message_drop(rng):
-    """Drop the initiator's first flight."""
-    return _initiator_verdict(*_honest_pair(rng), a_hook=_adv_drop_all)
-
-
-def _scn_ciphertext_bitflip(rng):
-    """Flip one ciphertext bit inside M2."""
-    # M2 payload: nonce(32) point(32) ar(1) box(196); flip inside the box,
-    # past the frame header (10 bytes).
-    box = slice(10 + 65, None)
-    return _initiator_verdict(*_honest_pair(rng), b_hook=_adv_bitflip(rng, box))
-
-
-def _scn_m2_replay(rng):
-    """Substitute a recorded M2 from an earlier session."""
-    dev_a, dev_b = _honest_pair(rng)
-    recorded: list[bytes] = []
-
-    def record_m2(data: bytes):
-        recorded.append(data)
-        return (data,)
-
-    res_a, res_b = run_pair(dev_a, dev_b, b_hook=record_m2, timeout=ATTACK_TIMEOUT)
-    if not (res_a.established and res_b.established and recorded):
-        return Verdict(VerdictKind.AUDIT_FAIL)
-
-    def replay_m2(data: bytes):  # substitute the stale flight for the fresh one
-        return (recorded[0],)
-
-    return _initiator_verdict(dev_a, dev_b, b_hook=replay_m2)
+    return run
 
 
 def _scn_m3_splice(rng):
@@ -278,22 +283,13 @@ def _scn_q_swap(rng):
 def _scn_nonce_reuse_audit(rng):
     """Honest-rule audit: nonces and DH points are never reused by a device."""
     dev_a, dev_b = _honest_pair(rng)
-    tapped: list[bytes] = []
-
-    def tap(data: bytes):
-        tapped.append(data)
-        return (data,)
-
+    log: dict[str, list[bytes]] = {}
     for _ in range(6):
-        res_a, res_b = run_pair(dev_a, dev_b, a_hook=tap, b_hook=tap, timeout=ATTACK_TIMEOUT)
-        if not (res_a.established and res_b.established):
+        if not all(res.established for res in _run_plan(dev_a, dev_b, log)):
             return Verdict(VerdictKind.AUDIT_FAIL)
-    hellos = [
-        frame.payload for frame, _ in map(transport.decode_frame, tapped)
-        if frame.msg_type in (transport.MSG_M1, transport.MSG_M2)
-    ]
+    hellos = [frame[transport.HEADER_BYTES:] for frame in log["m1"] + log["m2"]]
     seen = {p[:32] for p in hellos} | {p[32:64] for p in hellos}  # nonces, DH points
-    return Verdict(VerdictKind.AUDIT_OK) if len(seen) == 2 * len(hellos) else Verdict(VerdictKind.AUDIT_FAIL)
+    return Verdict(VerdictKind.AUDIT_OK if len(seen) == 2 * len(hellos) else VerdictKind.AUDIT_FAIL)
 
 
 def catalog() -> list[Scenario]:
@@ -308,10 +304,12 @@ def catalog() -> list[Scenario]:
         Scenario("firmware-tamper", aborted(AbortReason.MEASUREMENT_MISMATCH),
                  _scn_firmware_tamper),
         Scenario("quote-overwrite", aborted(AbortReason.MALFORMED), _scn_quote_overwrite),
-        Scenario("non-response", Verdict(VerdictKind.TIMEOUT), _scn_non_response),
-        Scenario("message-drop", Verdict(VerdictKind.TIMEOUT), _scn_message_drop),
-        Scenario("ciphertext-bitflip", aborted(AbortReason.BAD_TAG), _scn_ciphertext_bitflip),
-        Scenario("m2-replay", aborted(AbortReason.BAD_TAG), _scn_m2_replay),
+        Scenario("non-response", Verdict(VerdictKind.TIMEOUT), _planned(m2=_adv_drop)),
+        Scenario("message-drop", Verdict(VerdictKind.TIMEOUT), _planned(m1=_adv_drop)),
+        # M2 payload: nonce(32) point(32) ar(1) box(196); flip inside the box
+        Scenario("ciphertext-bitflip", aborted(AbortReason.BAD_TAG),
+                 _planned(m2=_adv_flip(65 * 8))),
+        Scenario("m2-replay", aborted(AbortReason.BAD_TAG), _planned(m2=_adv_replay)),
         Scenario("m3-cross-session-splice", aborted(AbortReason.BAD_SIGNATURE), _scn_m3_splice),
         Scenario("q-value-swap", aborted(AbortReason.BAD_SIGNATURE), _scn_q_swap),
         Scenario("nonce-reuse-audit", Verdict(VerdictKind.AUDIT_OK), _scn_nonce_reuse_audit),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 from _operator import _compare_digest  # what hmac.compare_digest falls back to
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._native import EXT
 from .errors import InvalidRange, OutOfRange
@@ -50,16 +51,11 @@ class AttestationConfig:
             raise InvalidRange(f"block size must fit in 4 bytes: {self.block_size}")
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """CRTM digest bound to the config that produced it."""
+class Measurement(NamedTuple):
+    """CRTM digest bound to the config; `unpack` and the trust store check the digest length."""
 
     digest: bytes
     config: AttestationConfig
-
-    def __post_init__(self):
-        if len(self.digest) != DIGEST_BYTES:
-            raise ValueError(f"digest must be {DIGEST_BYTES} bytes")
 
     def pack(self) -> bytes:
         cfg = self.config

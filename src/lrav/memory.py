@@ -45,8 +45,9 @@ class MemoryImage:
     def region_for(self, addr: int, length: int) -> Region:
         """Region covering [addr, addr+length); OutOfRange if split or unmapped."""
         for region in self.regions:
-            if region.base <= addr < region.end:
-                if addr + length > region.end:
+            off = addr - region.base
+            if 0 <= off < len(region.data):
+                if off + length > len(region.data):
                     raise OutOfRange(
                         f"range [{addr:#010x}, {addr + length:#010x}) crosses a region boundary"
                     )

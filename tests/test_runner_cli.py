@@ -940,6 +940,24 @@ class TestCli:
         assert lines[0] == "scenario,expected,observed,status"
         assert len(lines) >= 11
 
+    def test_attack_csv_for_seed_0_is_pinned(self, capsys):
+        assert cli.main(["attack", "--format", "csv", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "scenario,expected,observed,status\n"
+            "pmp-lock-rewrite,locked-entry,locked-entry,pass\n"
+            "qsk-read-attempt,access-fault,access-fault,pass\n"
+            "rom-write-attempt,access-fault,access-fault,pass\n"
+            "firmware-tamper,aborted(MEASUREMENT_MISMATCH),aborted(MEASUREMENT_MISMATCH),pass\n"
+            "quote-overwrite,aborted(MALFORMED),aborted(MALFORMED),pass\n"
+            "non-response,timeout,timeout,pass\n"
+            "message-drop,timeout,timeout,pass\n"
+            "ciphertext-bitflip,aborted(BAD_TAG),aborted(BAD_TAG),pass\n"
+            "m2-replay,aborted(BAD_TAG),aborted(BAD_TAG),pass\n"
+            "m3-cross-session-splice,aborted(BAD_SIGNATURE),aborted(BAD_SIGNATURE),pass\n"
+            "q-value-swap,aborted(BAD_SIGNATURE),aborted(BAD_SIGNATURE),pass\n"
+            "nonce-reuse-audit,audit-ok,audit-ok,pass\n"
+        )
+
 
 class TestParserReuse:
     def test_later_calls_build_no_parser_and_keep_the_defaults(
