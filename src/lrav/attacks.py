@@ -37,7 +37,7 @@ from .protocol import (
 )
 from .provisioning import provision_pair
 from .quote import QUOTE_WIRE_BYTES
-from .runner import Outcome, run_pair
+from .runner import Outcome, SessionResult, run_pair
 
 ATTACK_TIMEOUT = 0.3  # short: non-response scenarios resolve by timing out
 
@@ -90,9 +90,8 @@ def _run_plan(dev_a: DeviceState, dev_b: DeviceState, log: dict, rng=None, **pla
     return run_pair(dev_a, dev_b, a_hook=hook, b_hook=hook, timeout=ATTACK_TIMEOUT)
 
 
-def _initiator_verdict(dev_a: DeviceState, dev_b: DeviceState, log: dict, rng=None, **plan) -> Verdict:
-    """A's verdict on one run of the pair under `plan`."""
-    res_a, _ = _run_plan(dev_a, dev_b, log, rng, **plan)
+def _initiator_verdict(res_a: SessionResult) -> Verdict:
+    """A's result as a verdict."""
     if res_a.outcome in (Outcome.ESTABLISHED, Outcome.TIMEOUT):
         return Verdict(VerdictKind(res_a.outcome.value))
     return Verdict(VerdictKind.ABORTED, res_a.reason)
@@ -244,13 +243,13 @@ def _scn_firmware_tamper(rng):
     """Flip one attested flash bit on the responder, then attest."""
     dev_a, dev_b = _honest_pair(rng)
     _adv_tamper_firmware(dev_b, rng)
-    return _initiator_verdict(dev_a, dev_b, {})
+    return _initiator_verdict(_run_plan(dev_a, dev_b, {})[0])
 
 
 def _scn_quote_overwrite(rng):
     dev_a, dev_b = _honest_pair(rng)
     dev_b.quote_staging_hook = _adv_zeroize_staged_quote
-    return _initiator_verdict(dev_a, dev_b, {})
+    return _initiator_verdict(_run_plan(dev_a, dev_b, {})[0])
 
 
 def _planned(**plan):
@@ -261,7 +260,7 @@ def _planned(**plan):
         log: dict[str, list[bytes]] = {}
         if not all(res.established for res in _run_plan(dev_a, dev_b, log)):
             return Verdict(VerdictKind.AUDIT_FAIL)
-        return _initiator_verdict(dev_a, dev_b, log, rng, **plan)
+        return _initiator_verdict(_run_plan(dev_a, dev_b, log, rng, **plan)[0])
 
     return run
 
@@ -304,7 +303,7 @@ def catalog() -> list[Scenario]:
         Scenario("firmware-tamper", aborted(AbortReason.MEASUREMENT_MISMATCH),
                  _scn_firmware_tamper),
         Scenario("quote-overwrite", aborted(AbortReason.MALFORMED), _scn_quote_overwrite),
-        Scenario("non-response", Verdict(VerdictKind.TIMEOUT), _planned(m2=_adv_drop)),
+        Scenario("non-response", Verdict(VerdictKind.TIMEOUT), _planned(m2=_adv_drop)),  # [A2]
         Scenario("message-drop", Verdict(VerdictKind.TIMEOUT), _planned(m1=_adv_drop)),
         # M2 payload: nonce(32) point(32) ar(1) box(196); flip inside the box
         Scenario("ciphertext-bitflip", aborted(AbortReason.BAD_TAG),

@@ -127,26 +127,23 @@ SINGLE_CHANGES = {
     ("m1", REPLAY): _a_aborts(AbortReason.BAD_TAG),
     ("m2", REPLAY): _a_aborts(AbortReason.BAD_TAG),
     ("m3", REPLAY): ((Outcome.ESTABLISHED, None), (Outcome.ABORTED, AbortReason.BAD_TAG)),
+    ("m3", FLIP): ((Outcome.ESTABLISHED, None), (Outcome.ABORTED, AbortReason.BAD_TAG)),
 }
 SEEDS = [gen_identity(b"A" * 32), gen_identity(b"B" * 32)]  # provision_pair's signing seeds
 
 
-def _expected_ends(plan, field_expected):
-    if field_expected is not None:
-        return field_expected
-    if len(plan) == 1:
-        return SINGLE_CHANGES.get(next(iter(plan.items())))
-    return None
+def _exact_ends(plan):
+    return SINGLE_CHANGES.get(next(iter(plan.items()))) if len(plan) == 1 else None
 
 
 def test_every_delivery_plan_keeps_injective_agreement():
-    searched = [(plan, None) for plan in _every_plan()]
+    searched = _every_plan()
     assert len(searched) == 40
-    plans = searched + FIELD_FLIPS
+    plans = [(plan, _exact_ends(plan)) for plan in searched] + FIELD_FLIPS
     rng = random.Random(31)
     ends_seen, needles, haystacks = 0, [], []
     start = time.perf_counter()
-    for plan, field_expected in plans:
+    for plan, expected in plans:
         dev_a, dev_b = attacks._honest_pair(rng)
         log = {}
         honest = attacks._run_plan(dev_a, dev_b, log)
@@ -165,7 +162,6 @@ def test_every_delivery_plan_keeps_injective_agreement():
                                    Outcome.PEER_ABORTED, Outcome.TIMEOUT), (name, res.describe())
             if res.outcome is Outcome.ABORTED:
                 assert isinstance(res.reason, AbortReason), name
-        expected = _expected_ends(plan, field_expected)
         if expected is not None:
             ends_seen += 1
             assert ((res_a.outcome, res_a.reason), (res_b.outcome, res_b.reason)) == expected, name
