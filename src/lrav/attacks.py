@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
@@ -52,8 +51,7 @@ class VerdictKind(enum.Enum):
     AUDIT_FAIL = "audit-fail"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: VerdictKind
     reason: Optional[AbortReason] = None
 
@@ -63,8 +61,7 @@ class Verdict:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     expected: Verdict
     run: Callable[[random.Random], Verdict]

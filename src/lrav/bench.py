@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crtm import AttestationConfig, measure
 from .device import FLASH_BASE
@@ -25,8 +25,7 @@ CRTM_SIZES = [1 * KIB << i for i in range(13)]  # 1 KiB .. 4 MiB doubling
 CRTM_BLOCKS = [1 * KIB, 2 * KIB, 4 * KIB]
 
 
-@dataclass
-class CrtmSample:
+class CrtmSample(NamedTuple):
     size: int
     block: int
     times: list[float]

@@ -14,7 +14,6 @@ parsing reads the parser and writes only to a fresh namespace.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -93,7 +92,8 @@ def _load_device(args) -> DeviceState:
     if profile.firmware:  # relative to the profile; an absolute path stays as is
         fw_path = Path(args.profile).parent / profile.firmware
     with open(fw_path, "rb") as firmware:  # read straight into flash
-        profile = dataclasses.replace(profile, attest=_attest_override(args, profile.attest))
+        # _replace skips DeviceProfile's checks; the seed is the loaded, checked one
+        profile = profile._replace(attest=_attest_override(args, profile.attest))
         return build_device(profile, trust, firmware)
 
 
@@ -382,7 +382,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ABORT
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
+        if exc.filename is None:  # not an input file; sockets report their own errors
+            raise
         _eprint(f"cannot read input: {exc}")
         return EXIT_USAGE
     except (LravError, ValueError) as exc:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import struct
 from _operator import _compare_digest  # what hmac.compare_digest falls back to
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._native import EXT
@@ -30,25 +29,27 @@ _CONFIG_STRUCT = struct.Struct(">QQI")
 MEASUREMENT_BYTES = _CONFIG_STRUCT.size + DIGEST_BYTES  # 52
 
 
-@dataclass(frozen=True)
-class AttestationConfig:
-    """Attested physical range [start_addr, end_addr) and hash block size."""
-
+class _AttestationConfigFields(NamedTuple):
     start_addr: int
     end_addr: int
     block_size: int
 
-    def __post_init__(self):
-        if self.start_addr < 0 or self.end_addr > 0xFFFF_FFFF_FFFF_FFFF:
+
+class AttestationConfig(_AttestationConfigFields):
+    """Attested physical range [start_addr, end_addr) and hash block size."""
+
+    __slots__ = ()
+
+    def __new__(cls, start_addr: int, end_addr: int, block_size: int):
+        if start_addr < 0 or end_addr > 0xFFFF_FFFF_FFFF_FFFF:
             raise InvalidRange("addresses out of range")
-        if self.start_addr >= self.end_addr:
-            raise InvalidRange(
-                f"empty attested range [{self.start_addr:#x}, {self.end_addr:#x})"
-            )
-        if self.block_size < 1:
-            raise InvalidRange(f"block size must be >= 1: {self.block_size}")
-        if self.block_size > 0xFFFF_FFFF:  # a quote packs it in 4 bytes
-            raise InvalidRange(f"block size must fit in 4 bytes: {self.block_size}")
+        if start_addr >= end_addr:
+            raise InvalidRange(f"empty attested range [{start_addr:#x}, {end_addr:#x})")
+        if block_size < 1:
+            raise InvalidRange(f"block size must be >= 1: {block_size}")
+        if block_size > 0xFFFF_FFFF:  # a quote packs it in 4 bytes
+            raise InvalidRange(f"block size must fit in 4 bytes: {block_size}")
+        return _AttestationConfigFields.__new__(cls, start_addr, end_addr, block_size)
 
 
 class Measurement(NamedTuple):

@@ -8,7 +8,6 @@ the PMP bank arbitrates. Both run in machine mode.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from . import pmp
@@ -40,20 +39,30 @@ QSK_PMP_INDEX = 0  # highest-priority entry, claimed by boot ROM
 STAGING_ADDR = SRAM_BASE + 0x100
 
 
-@dataclass
 class DeviceState:
-    # The signing seed lives only in `memory`, in the ROM key window.
-    device_id: str
-    memory: MemoryImage
-    bank: pmp.PmpBank
-    trust: "TrustStore"
-    attest_config: "AttestationConfig"
-    boot_complete: bool = False
-    quote_staging_hook: Optional[Callable[["DeviceState"], None]] = None
-    # (measurement pack, signature) of the last quote signed; no key material.
-    # Read and written under `lock` by the gate, cleared by reset like SRAM.
-    last_quote: Optional[tuple[bytes, bytes]] = None
-    lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
+    def __init__(
+        self,
+        device_id: str,
+        memory: MemoryImage,
+        bank: pmp.PmpBank,
+        trust: "TrustStore",
+        attest_config: "AttestationConfig",
+        boot_complete: bool = False,
+        quote_staging_hook: Optional[Callable[["DeviceState"], None]] = None,
+        last_quote: Optional[tuple[bytes, bytes]] = None,
+    ):
+        # The signing seed lives only in `memory`, in the ROM key window.
+        self.device_id = device_id
+        self.memory = memory
+        self.bank = bank
+        self.trust = trust
+        self.attest_config = attest_config
+        self.boot_complete = boot_complete
+        self.quote_staging_hook = quote_staging_hook
+        # (measurement pack, signature) of the last quote signed; no key material.
+        # Read and written under `lock` by the gate, cleared by reset like SRAM.
+        self.last_quote = last_quote
+        self.lock = threading.RLock()
 
     def __repr__(self):  # never leak key material through debug output
         return f"DeviceState(id={self.device_id!r}, boot_complete={self.boot_complete})"

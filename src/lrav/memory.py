@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import mmap
-from dataclasses import dataclass, field
 
 from .errors import AccessFault, OutOfRange
 
@@ -15,26 +14,24 @@ class RegionKind(enum.Enum):
     SRAM = "sram"
 
 
-@dataclass
 class Region:
-    base: int
-    kind: RegionKind
-    # Flash is an anonymous mmap: it reads as zero and takes host memory only
-    # for the pages written, the firmware's. ROM and SRAM are small bytearrays.
-    data: bytearray | mmap.mmap
+    def __init__(self, base: int, kind: RegionKind, data: bytearray | mmap.mmap):
+        self.base = base
+        self.kind = kind
+        # Flash is an anonymous mmap: it reads as zero and takes host memory only
+        # for the pages written, the firmware's. ROM and SRAM are small bytearrays.
+        self.data = data
 
     @property
     def end(self) -> int:
         return self.base + len(self.data)
 
 
-@dataclass
 class MemoryImage:
     """Ordered, non-overlapping regions addressed by physical address."""
 
-    regions: list[Region] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(self, regions: list[Region] | None = None):
+        self.regions = [] if regions is None else regions
         self.regions.sort(key=lambda r: r.base)
         prev_end = 0
         for region in self.regions:

@@ -8,7 +8,7 @@ an entry immutable (and its checks binding on M-mode) until reset.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LockedEntry, ReservedCombination
 
@@ -31,8 +31,7 @@ class Access(enum.Enum):
     EXECUTE = "x"
 
 
-@dataclass(frozen=True)
-class PmpConfig:
+class PmpConfig(NamedTuple):
     """One pmpcfg byte: bit0=R, bit1=W, bit2=X, bits3-4=A, bit7=L."""
 
     read: bool = False
@@ -49,10 +48,10 @@ class PmpConfig:
         return self.execute
 
 
-@dataclass
 class PmpEntry:
-    config: PmpConfig
-    addr_reg: int  # physical address >> 2
+    def __init__(self, config: PmpConfig, addr_reg: int):
+        self.config = config
+        self.addr_reg = addr_reg  # physical address >> 2
 
 
 class PmpBank:

@@ -22,9 +22,8 @@ ephemeral, so those cost it no X25519 work either.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from os import urandom
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
@@ -104,8 +103,7 @@ def _unpack_hello(data: bytes, name: str, size: int) -> tuple[bytes, bytes, byte
     return data[:32], data[32:64], data[65:]
 
 
-@dataclass(frozen=True)
-class WireM1:
+class WireM1(NamedTuple):
     nonce: bytes
     point: bytes
 
@@ -118,8 +116,7 @@ class WireM1:
         return cls(nonce, point)
 
 
-@dataclass(frozen=True)
-class WireM2:
+class WireM2(NamedTuple):
     nonce: bytes
     point: bytes
     box: bytes
@@ -132,8 +129,7 @@ class WireM2:
         return cls(*_unpack_hello(data, "M2", M2_BYTES))
 
 
-@dataclass(frozen=True)
-class WireM3:
+class WireM3(NamedTuple):
     box: bytes
 
     def pack(self) -> bytes:
@@ -148,23 +144,29 @@ class WireM3:
 
 # --- session state ----------------------------------------------------------
 
-@dataclass
 class SessionState:
-    role: Role
-    peer_id: str
-    phase: Phase = Phase.START
-    my_nonce: bytes = b""
-    peer_nonce: bytes = b""
-    peer_point: bytes = b""
-    k: Optional[bytes] = None
-    abort_reason: Optional[AbortReason] = None
-    # our X25519 scalar, held only until K is derived, and our point
-    scalar: Optional[X25519PrivateKey] = field(init=False)
-    my_point: bytes = field(init=False)
-
-    def __post_init__(self):
-        # looked up at call time, so a patched generator is used
-        self.scalar = X25519PrivateKey.generate()
+    def __init__(
+        self,
+        role: Role,
+        peer_id: str,
+        phase: Phase = Phase.START,
+        my_nonce: bytes = b"",
+        peer_nonce: bytes = b"",
+        peer_point: bytes = b"",
+        k: Optional[bytes] = None,
+        abort_reason: Optional[AbortReason] = None,
+    ):
+        self.role = role
+        self.peer_id = peer_id
+        self.phase = phase
+        self.my_nonce = my_nonce
+        self.peer_nonce = peer_nonce
+        self.peer_point = peer_point
+        self.k = k
+        self.abort_reason = abort_reason
+        # our X25519 scalar, held only until K is derived, and our point;
+        # the generator is looked up at call time, so a patched one is used
+        self.scalar: Optional[X25519PrivateKey] = X25519PrivateKey.generate()
         self.my_point = self.scalar.public_key().public_bytes_raw()
 
     def nonces(self) -> tuple[bytes, bytes]:

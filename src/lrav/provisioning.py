@@ -17,10 +17,9 @@ from __future__ import annotations
 import json
 import mmap
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import BinaryIO, Iterable, Mapping
+from typing import BinaryIO, Iterable, Mapping, NamedTuple
 
 from . import crtm
 from .device import FLASH_BASE, FLASH_SIZE, QSK_BASE, ROM_BASE, ROM_SIZE, SRAM_BASE, SRAM_SIZE
@@ -80,16 +79,20 @@ def check_peer_id(peer_id: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TrustedPeer:
+class _TrustedPeerFields(NamedTuple):
     verify_key: bytes
     expected: tuple[crtm.Measurement, ...]
 
-    def __post_init__(self):
-        if len(self.verify_key) != 32:
+
+class TrustedPeer(_TrustedPeerFields):
+    __slots__ = ()
+
+    def __new__(cls, verify_key: bytes, expected: tuple[crtm.Measurement, ...]):
+        if len(verify_key) != 32:
             raise ValueError("verify key must be 32 bytes")
-        if not self.expected:
+        if not expected:
             raise ValueError("a trusted peer needs at least one expected measurement")
+        return _TrustedPeerFields.__new__(cls, verify_key, expected)
 
 
 class TrustStore:
@@ -214,16 +217,21 @@ def load_trust_store(path: str | Path) -> TrustStore:
 
 # --- device profile ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeviceProfile:
+class _DeviceProfileFields(NamedTuple):
     device_id: str
     qsk_seed: bytes
     attest: crtm.AttestationConfig
     firmware: str | None = None  # path, resolved relative to the profile file
 
-    def __post_init__(self):
-        if len(self.qsk_seed) != 32:
+
+class DeviceProfile(_DeviceProfileFields):
+    __slots__ = ()
+
+    def __new__(cls, device_id: str, qsk_seed: bytes, attest: crtm.AttestationConfig,
+                firmware: str | None = None):
+        if len(qsk_seed) != 32:
             raise ValueError("qsk_seed must be 32 bytes")
+        return _DeviceProfileFields.__new__(cls, device_id, qsk_seed, attest, firmware)
 
 
 def save_profile(path: str | Path, profile: DeviceProfile) -> None:

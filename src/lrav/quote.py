@@ -9,7 +9,7 @@ followed by the 64-byte signature (116 bytes total).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
@@ -29,14 +29,18 @@ def verification_key(seed: bytes) -> bytes:
     return Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
 
 
-@dataclass(frozen=True)
-class Quote:
+class _QuoteFields(NamedTuple):
     measurement: Measurement
     signature: bytes
 
-    def __post_init__(self):
-        if len(self.signature) != SIGNATURE_BYTES:
+
+class Quote(_QuoteFields):
+    __slots__ = ()
+
+    def __new__(cls, measurement: Measurement, signature: bytes):
+        if len(signature) != SIGNATURE_BYTES:
             raise ValueError(f"signature must be {SIGNATURE_BYTES} bytes")
+        return _QuoteFields.__new__(cls, measurement, signature)
 
     def to_wire(self) -> bytes:
         return self.measurement.pack() + self.signature

@@ -18,8 +18,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import transport
 from .crtm import sha3_256
@@ -56,8 +55,7 @@ class Outcome(enum.Enum):
     FAILED = "failed"  # an undecodable frame
 
 
-@dataclass
-class SessionResult:
+class SessionResult(NamedTuple):
     outcome: Outcome
     state: Optional[SessionState] = None
     reason: Optional[AbortReason] = None

@@ -571,6 +571,27 @@ class TestCli:
             "provision", "--image", str(tmp_path / "absent.bin"), "--id", "x",
         ]) == 2
 
+    @pytest.mark.parametrize("unreadable, error", [
+        ("alpha.fw/x.json", "[Errno 20] Not a directory"),  # under a regular file
+        ("x" * 300, "[Errno 36] File name too long"),
+    ], ids=["under-a-file", "name-too-long"])
+    @pytest.mark.parametrize("command", ["measure", "serve", "attest"])
+    def test_an_unreadable_input_path_exits_2(self, tmp_path, rng, capsys, command, unreadable,
+                                              error):
+        provision_cli_pair(tmp_path, rng, capsys)
+        path = str(tmp_path / unreadable)
+        if command == "measure":
+            argv = ["measure", "--profile", path]
+        else:  # --profile is read first, so these reach --trust
+            name = "beta" if command == "serve" else "alpha"
+            argv = [command, "--profile", str(tmp_path / f"{name}.json"), "--trust", path]
+        with refused_port() as port:
+            addr = ["--addr", f"127.0.0.1:{port}"] if command != "measure" else []
+            assert cli.main(argv + addr) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot read input: {error}: {path!r}\n"
+
     def test_measure_prints_expected_digest(self, tmp_path, rng, capsys):
         provision_cli_pair(tmp_path, rng, capsys)
         assert cli.main([

@@ -2,9 +2,10 @@
 
 Every runtime SHA3-256 (the KDF, the box nonces, the transcript hash, key
 fingerprints and identities) goes through `crtm.sha3_256`. These pins hold
-each of them to hashlib's formula on fixed inputs, and a fresh interpreter
-checks that a handshake, `provision` and `measure` import none of hashlib,
-`_hashlib`, hmac or secrets.
+each of them to hashlib's formula on fixed inputs. A fresh interpreter checks
+that every lrav module, a handshake, `provision` and `measure` import none of
+hashlib, `_hashlib`, hmac or secrets, and none of dataclasses and what it
+loads (inspect, ast, dis, tokenize).
 """
 
 import hashlib
@@ -62,7 +63,7 @@ IMPORT_PROBE = """
 import json, sys
 
 start = set(sys.modules)
-from lrav import cli
+from lrav import attacks, bench, cli
 from lrav.provisioning import provision_pair
 from lrav.runner import run_pair
 
@@ -83,7 +84,7 @@ print(json.dumps({
 """
 
 
-def test_a_handshake_provision_and_measure_load_no_hashlib(tmp_path):
+def test_lrav_loads_neither_hashlib_nor_dataclasses(tmp_path):
     src = Path(lrav.__file__).resolve().parents[1]
     probe = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "fw.bin"),
@@ -95,3 +96,4 @@ def test_a_handshake_provision_and_measure_load_no_hashlib(tmp_path):
     report = json.loads(probe.stdout.splitlines()[-1])
     assert report["established"] and report["codes"] == [0, 0]
     assert {"_hashlib", "hashlib", "hmac", "secrets"}.isdisjoint(report["loaded"])
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(report["loaded"])
